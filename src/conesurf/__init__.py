@@ -31,8 +31,6 @@ from .fields import CurvatureField, build_potential_Q, check_growth, check_monot
 from .geometry import (
     ConeSpec,
     c_beta,
-    cone_margin,
-    radial_project,
     stereographic_south,
     stereographic_south_inverse,
     winding_degree,

@@ -134,7 +134,9 @@ def axis_at(boundary, beta, theta, containment_samples, tol=1e-8):
 
 
 class AxisMap:
-    """Sampled map theta -> cone axis along a beta-convex boundary."""
+    """Sampled map theta -> cone axis along a beta-convex boundary; raises
+    NotBetaConvexAt at the first sample without an admissible axis.
+    `margin` is the worst containment slack over the sampled axes."""
 
     def __init__(self, boundary, beta, n_boundary=256, n_domain=2048, tol=1e-8):
         self.boundary = boundary
@@ -145,6 +147,7 @@ class AxisMap:
         self.axes = np.array(
             [axis_at(boundary, beta, th, samples, tol=tol) for th in thetas]
         )
+        self.margin = float(np.min(samples @ self.axes.T)) - np.cos(beta)
         self._samples = samples
 
     def axis(self, theta):
@@ -155,17 +158,11 @@ class AxisMap:
 def is_beta_convex(boundary, beta, n_boundary=256, n_domain=2048, tol=1e-8):
     """(flag, margin): flag true iff an admissible axis exists at every
     boundary sample; margin is the worst containment slack observed."""
-    thetas, bpts = boundary.boundary_samples(n_boundary)
-    samples = np.vstack([boundary.domain_samples(n_domain), bpts])
-    cb = np.cos(beta)
-    margin = np.inf
-    for th in thetas:
-        try:
-            ax = axis_at(boundary, beta, th, samples, tol=tol)
-        except NotBetaConvexAt:
-            return False, float("-inf")
-        margin = min(margin, float(np.min(samples @ ax)) - cb)
-    return True, float(margin)
+    try:
+        axis_map = AxisMap(boundary, beta, n_boundary, n_domain, tol)
+    except NotBetaConvexAt:
+        return False, float("-inf")
+    return True, axis_map.margin
 
 
 def is_convex(boundary, n_samples=256, n_domain=1024, tol=1e-9):

@@ -36,13 +36,12 @@ from .errors import (
     ConfigInvalid,
     IoError,
     NoConvergence,
-    NotBetaConvexAt,
     SignChange,
 )
 from .fields import CurvatureField
 from .mesh import build_disk_mesh
 from .solver import SolveConfig, SurfaceState, conformality_defect, energy_F, energy_G, solve
-from .verifier import verify_surface
+from .verifier import domain_grid, extract_radial_graph, verify_surface
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -173,13 +172,6 @@ def run_verify(config, out_dir, surface_path=None):
     )
 
     vblock = config.get("verify", {})
-    flag, margin = is_beta_convex(
-        boundary, beta,
-        n_boundary=int(vblock.get("n_boundary", 128)),
-        n_domain=int(vblock.get("n_domain", 1024)),
-    )
-    if not flag:
-        raise NotBetaConvexAt(float("nan"), "domain is not beta-convex")
     axis_map = AxisMap(
         boundary, beta,
         n_boundary=int(vblock.get("n_boundary", 128)),
@@ -194,25 +186,20 @@ def run_verify(config, out_dir, surface_path=None):
         n_probe=int(vblock.get("n_probe", 8)),
     )
     payload = report.to_dict()
-    payload["beta_convexity_margin"] = margin
+    payload["beta_convexity_margin"] = axis_map.margin
     io.write_json(Path(out_dir) / out.get("report", "report.json"), payload)
 
     # radial-graph CSV table over a structured grid
-    from .verifier import domain_grid, extract_radial_graph
-
-    try:
-        grid = domain_grid(boundary, int(vblock.get("grid_size", 512)))
-        lam = extract_radial_graph(state, grid)
-        rows = [
-            (np.arctan2(p[1], p[0]), np.arccos(p[2]), l)
-            for p, l in zip(grid, lam)
-        ]
-        io.write_csv(
-            Path(out_dir) / out.get("radial_graph_csv", "radial_graph.csv"),
-            ("theta", "phi", "lambda"), rows,
-        )
-    except ConesurfError:
-        pass  # failure already recorded in the report
+    grid = domain_grid(boundary, int(vblock.get("grid_size", 512)))
+    lam = extract_radial_graph(state, grid)
+    rows = [
+        (np.arctan2(p[1], p[0]), np.arccos(p[2]), l)
+        for p, l in zip(grid, lam)
+    ]
+    io.write_csv(
+        Path(out_dir) / out.get("radial_graph_csv", "radial_graph.csv"),
+        ("theta", "phi", "lambda"), rows,
+    )
 
     return EXIT_OK if report.all_passed else EXIT_VERIFY
 

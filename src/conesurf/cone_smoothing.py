@@ -112,10 +112,13 @@ def make_profile(beta, delta, eps):
 
 
 def profile_point(profile, t, theta):
-    """Point (alpha1 cos(theta), alpha1 sin(theta), alpha2) on the surface."""
+    """Point (alpha1 cos(theta), alpha1 sin(theta), alpha2) on the surface;
+    t and theta broadcast, and the coordinates are the last axis."""
     a1 = profile.alpha1(t)
     a2 = profile.alpha2(t)
-    return np.array([a1 * np.cos(theta), a1 * np.sin(theta), a2], dtype=float)
+    return np.stack(
+        np.broadcast_arrays(a1 * np.cos(theta), a1 * np.sin(theta), a2), axis=-1
+    )
 
 
 def revolution_mean_curvature(a1, a1_d, a1_dd, a2_d, a2_dd):
@@ -182,20 +185,15 @@ def check_enclosure_curvature(profile, field, n_samples=256, t_max=None):
         np.linspace(profile.t_eps, t_max, n_samples)[1:],
     ])
     thetas = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    margin = np.inf
-    argmin = None
-    for t in ts:
-        hs = profile_mean_curvature(profile, t)
-        for th in thetas:
-            p = profile_point(profile, max(t, 1e-6 * profile.t_eps), th)
-            m = hs - abs(field.eval(p))
-            if m < margin:
-                margin = m
-                argmin = (float(t), float(th))
+    hs = np.array([profile_mean_curvature(profile, t) for t in ts])
+    pts = profile_point(profile, np.maximum(ts, 1e-6 * profile.t_eps)[:, None], thetas)
+    margins = hs[:, None] - np.abs(field.eval(pts))
+    i, j = np.unravel_index(np.argmin(margins), margins.shape)
+    margin = float(margins[i, j])
     return {
-        "margin": float(margin),
-        "argmin_t": argmin[0],
-        "argmin_theta": argmin[1],
+        "margin": margin,
+        "argmin_t": float(ts[i]),
+        "argmin_theta": float(thetas[j]),
         "passed": bool(margin > 0.0),
         "n_samples": int(n_samples),
     }

@@ -21,10 +21,6 @@ class PointOnCurve(ConesurfError):
     """Winding-number query point lies on (or too close to) the loop."""
 
 
-class QuadratureFailure(ConesurfError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-
 class NotBetaConvexAt(ConesurfError):
     """No admissible cone axis exists at the given boundary parameter."""
 

@@ -2,22 +2,30 @@
 radial growth / monotonicity checks.
 
 Builtin families (all defined on R^3 minus the origin, so no cone
-extension step is needed):
+extension step is needed), each homogeneous of degree -k,
+H(t p) = t^(-k) H(p) for t > 0:
 
-    zero                H = 0
-    constant(h0)        H = h0            (solver unit tests only)
-    radial(c)           H = c / |p|
-    power(c, s)         H = c / |p|^(1+s)
-    modulated(c, a)     H = (c + a (p.e3/|p|)) / |p|
+    zero                H = 0                           k = 0
+    constant(h0)        H = h0                          k = 0 (solver tests only)
+    radial(c)           H = c / |p|                     k = 1
+    power(c, s)         H = c / |p|^(1+s)               k = 1 + s
+    modulated(c, a)     H = (c + a (p.e3/|p|)) / |p|    k = 1
+
+`CurvatureField.eval` and `.grad` are array-valued: a point (3,) gives a
+float and a (3,) gradient, points (n, 3) give (n,) values and (n, 3)
+gradients.  Every family is linear in its strength parameters (h0, c, a),
+so a scaled field is again a `CurvatureField`.  By homogeneity the vector
+potential is Q(p) = H(p) p / (3 - k), finite only for k < 3 (s < 2 for
+the power family).
 """
 
 import numpy as np
-from scipy import integrate
 
-from .errors import OutOfRange, QuadratureFailure
+from .errors import OutOfRange
 from .geometry import c_beta
 
 _E3 = np.array([0.0, 0.0, 1.0])
+_STRENGTHS = ("h0", "c", "a")
 
 
 class CurvatureField:
@@ -30,27 +38,31 @@ class CurvatureField:
             raise OutOfRange(f"unknown field family {family!r}")
 
     def eval(self, p):
+        """H at one point (3,) -> float, or at points (n, 3) -> (n,)."""
         p = np.asarray(p, dtype=float)
-        r = np.linalg.norm(p)
+        r = np.linalg.norm(p, axis=-1)
         f = self.family
         if f == "zero":
-            return 0.0
-        if f == "constant":
-            return float(self.params["h0"])
-        if f == "radial":
-            return float(self.params["c"] / r)
-        if f == "power":
+            h = np.zeros(r.shape)
+        elif f == "constant":
+            h = np.full(r.shape, float(self.params["h0"]))
+        elif f == "radial":
+            h = self.params["c"] / r
+        elif f == "power":
             c, s = self.params["c"], self.params["s"]
-            return float(c / r ** (1.0 + s))
-        c, a = self.params["c"], self.params["a"]
-        return float((c + a * (p[2] / r)) / r)
+            h = c / r ** (1.0 + s)
+        else:
+            c, a = self.params["c"], self.params["a"]
+            h = (c + a * (p[..., 2] / r)) / r
+        return h if h.ndim else float(h)
 
     def grad(self, p):
+        """grad H at one point (3,) -> (3,), or at points (n, 3) -> (n, 3)."""
         p = np.asarray(p, dtype=float)
-        r = np.linalg.norm(p)
+        r = np.linalg.norm(p, axis=-1, keepdims=True)
         f = self.family
         if f in ("zero", "constant"):
-            return np.zeros(3)
+            return np.zeros(p.shape)
         if f == "radial":
             return -self.params["c"] * p / r**3
         if f == "power":
@@ -58,11 +70,14 @@ class CurvatureField:
             return -c * (1.0 + s) * p / r ** (3.0 + s)
         c, a = self.params["c"], self.params["a"]
         # H = c/r + a z / r^2
-        return -c * p / r**3 + a * (_E3 / r**2 - 2.0 * p[2] * p / r**4)
+        return -c * p / r**3 + a * (_E3 / r**2 - 2.0 * p[..., 2:] * p / r**4)
 
     def scaled(self, factor):
         """Field factor * H, used for solver continuation."""
-        return _ScaledField(self, float(factor))
+        params = {
+            k: factor * v if k in _STRENGTHS else v for k, v in self.params.items()
+        }
+        return CurvatureField(self.family, **params)
 
     def to_dict(self):
         return {"family": self.family, **self.params}
@@ -76,66 +91,44 @@ class CurvatureField:
         return f"CurvatureField({self.family!r}, {self.params})"
 
 
-class _ScaledField:
-    def __init__(self, base, factor):
-        self.base = base
-        self.factor = factor
-        self.family = base.family
-        self.params = base.params
-
-    def eval(self, p):
-        return self.factor * self.base.eval(p)
-
-    def grad(self, p):
-        return self.factor * self.base.grad(p)
-
-    def scaled(self, factor):
-        return _ScaledField(self.base, self.factor * factor)
+def _homogeneity(field):
+    """k with H(t p) = t^(-k) H(p) for t > 0."""
+    if field.family in ("zero", "constant"):
+        return 0.0
+    if field.family == "power":
+        return 1.0 + field.params["s"]
+    return 1.0
 
 
-def build_potential_Q(field, p, abs_tol=1e-10):
+def build_potential_Q(field, p):
     """Vector potential Q(p) = (int_0^1 H(t p) t^2 dt) p, so div Q = H.
 
-    The t^2 factor cancels the 1/|tp| singularity of the radial family,
-    leaving a smooth integrand for adaptive quadrature.
+    For a field homogeneous of degree -k the integral is H(p) / (3 - k),
+    finite only when k < 3.  Takes (3,) or (n, 3) like `field.eval`.
     """
     p = np.asarray(p, dtype=float)
-    r = np.linalg.norm(p)
-    if r <= 0.0:
+    if np.any(np.linalg.norm(p, axis=-1) <= 0.0):
         raise OutOfRange("Q is undefined at the origin")
-
-    def integrand(t):
-        if t == 0.0:
-            return 0.0
-        return field.eval(t * p) * t * t
-
-    val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=abs_tol, limit=200)
-    if err > max(abs_tol, 1e-12 * abs(val)) * 100.0:
-        raise QuadratureFailure(
-            f"quadrature error estimate {err:.3e} exceeds tolerance"
-        )
-    return val * p
+    k = _homogeneity(field)
+    if k >= 3.0:
+        raise OutOfRange(f"Q diverges for a field of homogeneity degree {k} >= 3")
+    return (np.asarray(field.eval(p)) / (3.0 - k))[..., None] * p
 
 
 def check_growth(field, beta, samples):
     """min over samples of c_beta - |H(p)| |p|; nonnegative iff the radial
     growth bound holds on the sampled set."""
-    cb = c_beta(beta)
-    margin = np.inf
-    for p in samples:
-        p = np.asarray(p, dtype=float)
-        margin = min(margin, cb - abs(field.eval(p)) * np.linalg.norm(p))
-    return float(margin)
+    p = np.asarray(samples, dtype=float).reshape(-1, 3)
+    slack = c_beta(beta) - np.abs(field.eval(p)) * np.linalg.norm(p, axis=1)
+    return float(np.min(slack, initial=np.inf))
 
 
 def check_monotonicity(field, samples):
     """min over samples of H(p) + grad H(p) . p, the derivative at lambda=1
     of lambda -> lambda H(lambda p)."""
-    margin = np.inf
-    for p in samples:
-        p = np.asarray(p, dtype=float)
-        margin = min(margin, field.eval(p) + field.grad(p) @ p)
-    return float(margin)
+    p = np.asarray(samples, dtype=float).reshape(-1, 3)
+    d = field.eval(p) + np.einsum("ij,ij->i", field.grad(p), p)
+    return float(np.min(d, initial=np.inf))
 
 
 def divergence_fd(field, p, rel_step=1e-5):

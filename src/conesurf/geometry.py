@@ -31,11 +31,6 @@ def normalize(x):
     return v / n
 
 
-# Radial projection onto the unit sphere.  Alias kept separate from
-# `normalize` because callers use it with geometric intent.
-radial_project = normalize
-
-
 class ConeSpec:
     """Open circular cone: axis (unit vector) and half-angle in (0, pi/2)."""
 
@@ -58,10 +53,6 @@ class ConeSpec:
 
     def __repr__(self):
         return f"ConeSpec(axis={self.axis}, half_angle={self.half_angle})"
-
-
-def cone_margin(cone, x):
-    return cone.margin(x)
 
 
 def stereographic_south(p):

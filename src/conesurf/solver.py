@@ -25,7 +25,6 @@ class SolveConfig:
     residual_tol: float = 1e-8
     update_tol: float = 1e-11
     continuation_steps: int = 4
-    reparam_enabled: bool = False
     reparam_sweeps: int = 2
 
     def __post_init__(self):
@@ -134,7 +133,8 @@ class _DiskSystem:
 
 
 def _assemble_rhs(mesh, X, field):
-    """Load vector of -2 H(X) X_u ^ X_v (weak form moves the sign)."""
+    """Load vector of -2 H(X) X_u ^ X_v (weak form moves the sign), and
+    max |2 H(X) X_u ^ X_v| over the triangle centroids."""
     g = mesh.triangle_gradients(X)
     w = _wedge(g[:, 0, :], g[:, 1, :])
     centroids = X[mesh.triangles].mean(axis=1)
@@ -144,31 +144,22 @@ def _assemble_rhs(mesh, X, field):
     needs_origin = getattr(field, "family", None) not in ("zero", "constant")
     if needs_origin and np.any(r < 1e-10):
         raise FieldOutOfDomain("iterate touches the origin of the field domain")
-    h = np.array([field.eval(c) for c in centroids])
+    h = field.eval(centroids)
     tri_load = -(2.0 * h * mesh.areas / 3.0)[:, None] * w
     nv = len(mesh.vertices)
     b = np.zeros((nv, 3))
     for k in range(3):
         np.add.at(b, mesh.triangles[:, k], tri_load)
-    return b
-
-
-def _rhs_field_values(mesh, X, field):
-    g = mesh.triangle_gradients(X)
-    w = _wedge(g[:, 0, :], g[:, 1, :])
-    centroids = X[mesh.triangles].mean(axis=1)
-    h = np.array([field.eval(c) for c in centroids])
-    return 2.0 * h[:, None] * w
+    return b, float(np.max(np.abs(2.0 * h[:, None] * w)))
 
 
 def solve_residual(mesh, X, field):
     """(inf-norm residual, scale) of the discrete H-system at interior
     vertices, measured per unit of lumped mass."""
-    b = _assemble_rhs(mesh, X, field)
+    b, load_max = _assemble_rhs(mesh, X, field)
     r = (mesh.stiffness @ X - b)[mesh.interior]
     r = r / mesh.lumped_mass[mesh.interior, None]
-    scale = max(1.0, float(np.max(np.abs(_rhs_field_values(mesh, X, field)))))
-    return float(np.max(np.abs(r))), scale
+    return float(np.max(np.abs(r))), max(1.0, load_max)
 
 
 def arclength_parametrization(curve, n_boundary, n_fine=4096):
@@ -186,7 +177,7 @@ def _picard(system, field, X, boundary_values, config):
     mesh = system.mesh
     log = []
     for it in range(config.max_iters):
-        b = _assemble_rhs(mesh, X, field)
+        b, _ = _assemble_rhs(mesh, X, field)
         X_new = system.solve_dirichlet(boundary_values, rhs_interior=b[system.interior])
         X_next = (1.0 - config.damping) * X + config.damping * X_new
         update = float(np.max(np.abs(X_next - X)))

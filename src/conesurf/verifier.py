@@ -100,8 +100,8 @@ def density_field(state, field, normals):
     K = np.zeros(len(E))
     K[defined] = (ee[defined] * gg[defined] - ff[defined] ** 2) / E[defined] ** 2
 
-    h = np.array([field.eval(x) for x in state.X])
-    gh = np.array([field.grad(x) for x in state.X])
+    h = field.eval(state.X)
+    gh = field.grad(state.X)
     ghn = np.einsum("ij,ij->i", gh, np.nan_to_num(N))
 
     p = np.zeros(len(E))
@@ -208,7 +208,7 @@ def check_enclosure(state, beta, field=None):
         xu, xv = _vertex_first_derivatives(state)
         E = vertex_conformal_factor(state)
         w = np.cross(xu, xv)
-        h = np.array([field.eval(x) for x in X])
+        h = field.eval(X)
         px = X / r[:, None]
         pxu = _safe_unit(xu)
         pxv = _safe_unit(xv)
@@ -275,8 +275,8 @@ def check_radial_normal(state, field, density, normals):
     N = np.nan_to_num(normals.vertex_normals)
     f = np.einsum("ij,ij->i", N, X)
 
-    gh = np.array([field.grad(x) for x in X])
-    h = np.array([field.eval(x) for x in X])
+    gh = field.grad(X)
+    h = field.eval(X)
     rhs = -2.0 * density.E * (np.einsum("ij,ij->i", gh, X) + h)
     # Delta f + 2 p f = rhs  =>  -Delta f = 2 p f - rhs; f involves the
     # discrete Gauss map, so measure against smooth test functions
@@ -295,7 +295,7 @@ def normal_pde_residual(state, field, density, normals):
     Measured with the tested weak pairing; see _tested_weak_residual."""
     mesh = state.mesh
     N = np.nan_to_num(normals.vertex_normals)
-    gh = np.array([field.grad(x) for x in state.X])
+    gh = field.grad(state.X)
     neg_lap_rhs = 2.0 * density.p[:, None] * N + 2.0 * density.E[:, None] * gh
     return _tested_weak_residual(mesh, N, neg_lap_rhs)
 

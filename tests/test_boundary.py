@@ -111,6 +111,16 @@ class TestBetaConvexity:
         flag, _ = cs.is_beta_convex(b, BETA)
         assert flag
 
+    def test_axis_map_margin_is_worst_axis_slack(self):
+        b = cs.SphericalBoundary.perturbed_cap(0.8 * BETA, cos_coeffs=[0.1])
+        amap = cs.AxisMap(b, BETA, n_boundary=64, n_domain=512)
+        samples = np.vstack([b.domain_samples(512), b.boundary_samples(64)[1]])
+        worst = min(float(np.min(samples @ ax)) - np.cos(BETA) for ax in amap.axes)
+        assert amap.margin == pytest.approx(worst, rel=1e-14, abs=1e-15)
+        assert cs.is_beta_convex(b, BETA, n_boundary=64, n_domain=512) == (
+            True, amap.margin
+        )
+
     def test_beta_convex_implies_convex(self):
         # random beta-convex perturbed caps must pass the supporting-plane test
         rng = np.random.default_rng(12)

@@ -69,6 +69,20 @@ class TestSolveAndVerify:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["pass"] is False
 
+    def test_verify_reports_radial_graph_failure(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, solve_config())
+        cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)])
+        X, tris = io.read_obj(tmp_path / "surface.obj")
+        # shrink toward the axis: directions near the domain edge are uncovered
+        io.write_obj(tmp_path / "surface.obj", X * np.array([0.5, 0.5, 1.0]), tris)
+        rc = cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)])
+        assert rc == 4
+        report = json.loads((tmp_path / "report.json").read_text())
+        coverage = [c for c in report["checks"] if c["name"] == "radial_graph_coverage"]
+        assert coverage[0]["pass"] is False
+        assert "not covered" in capsys.readouterr().err
+        assert not (tmp_path / "radial_graph.csv").exists()
+
     def test_solve_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         a.mkdir()
@@ -157,6 +171,11 @@ class TestExitCodes:
                                    "residual_tol": 1e-14})
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 3
+
+    def test_unread_solver_key_rejected(self, tmp_path):
+        cfg = solve_config(solver={"max_iters": 400, "reparam_enabled": True})
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 2
 
     def test_verify_non_beta_convex_domain(self, tmp_path):
         cfg_path = write_config(tmp_path, solve_config())

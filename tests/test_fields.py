@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
 import conesurf as cs
 from conesurf.errors import OutOfRange
@@ -71,6 +72,96 @@ class TestPotentialQ:
         )
         assert sup_q <= c / 2 + 1e-10
         assert c / 2 < 0.25
+
+
+def quad_reference_Q(field, p):
+    """(int_0^1 H(t p) t^2 dt) p by adaptive quadrature."""
+    val, _ = integrate.quad(
+        lambda t: field.eval(t * p) * t * t, 0.0, 1.0,
+        epsabs=0.0, epsrel=1e-13, limit=200,
+    )
+    return val * p
+
+
+class TestArrayAPI:
+    @pytest.mark.parametrize("field", FAMILIES, ids=lambda f: f"{f.family}")
+    def test_array_eval_matches_rows(self, field):
+        pts = sample_points(40, seed=5)
+        h = field.eval(pts)
+        assert h.shape == (40,)
+        np.testing.assert_allclose(h, [field.eval(p) for p in pts], rtol=1e-14)
+        assert isinstance(field.eval(pts[0]), float)
+
+    @pytest.mark.parametrize("field", FAMILIES, ids=lambda f: f"{f.family}")
+    def test_array_grad_matches_rows(self, field):
+        pts = sample_points(40, seed=6)
+        g = field.grad(pts)
+        assert g.shape == (40, 3)
+        np.testing.assert_allclose(
+            g, [field.grad(p) for p in pts], rtol=1e-14, atol=1e-300
+        )
+        assert field.grad(pts[0]).shape == (3,)
+
+    @pytest.mark.parametrize("field", FAMILIES, ids=lambda f: f"{f.family}")
+    def test_scaled_is_plain_field(self, field):
+        scaled = field.scaled(0.37)
+        assert type(scaled) is cs.CurvatureField
+        assert scaled.family == field.family
+        assert scaled.params.get("s") == field.params.get("s")
+        pts = sample_points(20, seed=8)
+        np.testing.assert_allclose(
+            scaled.eval(pts), 0.37 * field.eval(pts), rtol=1e-14, atol=1e-300
+        )
+        np.testing.assert_allclose(
+            scaled.scaled(2.0).eval(pts), 0.74 * field.eval(pts),
+            rtol=1e-14, atol=1e-300,
+        )
+
+    def test_solve_evaluates_field_once_per_iterate(self, monkeypatch):
+        calls = []
+        original = cs.CurvatureField.eval
+
+        def counting(self, p):
+            calls.append(1)
+            return original(self, p)
+
+        monkeypatch.setattr(cs.CurvatureField, "eval", counting)
+        beta = BETA
+        boundary = cs.SphericalBoundary.cap(0.8 * beta)
+        curve = cs.build_curve(boundary, cs.FourierScalar(1.0), beta)
+        mesh = cs.build_disk_mesh(8, 16)
+        field = cs.CurvatureField("radial", c=0.5 * cs.c_beta(beta))
+        state = cs.solve(mesh, curve, field, cs.SolveConfig(max_iters=400))
+        # one call per Picard step plus the final residual
+        assert len(calls) <= state.iterations + 2
+        assert len(calls) < len(mesh.triangles)
+
+
+class TestClosedFormQ:
+    @pytest.mark.parametrize(
+        "field",
+        FAMILIES + [cs.CurvatureField("power", c=0.1, s=1.5)],
+        ids=lambda f: f"{f.family}-{f.params.get('s', '')}",
+    )
+    def test_matches_quadrature(self, field):
+        for p in sample_points(10, seed=12):
+            np.testing.assert_allclose(
+                cs.build_potential_Q(field, p), quad_reference_Q(field, p),
+                rtol=1e-12, atol=1e-300,
+            )
+
+    def test_array_input(self):
+        field = cs.CurvatureField("modulated", c=0.1, a=0.05)
+        pts = sample_points(10, seed=13)
+        np.testing.assert_allclose(
+            cs.build_potential_Q(field, pts),
+            [cs.build_potential_Q(field, p) for p in pts], rtol=1e-14,
+        )
+
+    @pytest.mark.parametrize("s", [2.0, 2.5])
+    def test_divergent_power_rejected(self, s):
+        with pytest.raises(OutOfRange):
+            cs.build_potential_Q(cs.CurvatureField("power", c=0.1, s=s), [0, 0, 1])
 
 
 class TestChecks:

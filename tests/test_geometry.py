@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import conesurf as cs
 from conesurf.errors import DegenerateInput, OutOfRange, PointOnCurve, PoleSingularity
+from conesurf.geometry import normalize
 
 
 def unit_circle_loop(n=64, reverse=False):
@@ -14,19 +15,21 @@ def unit_circle_loop(n=64, reverse=False):
 
 
 class TestRadialProject:
+    """Radial projection onto the unit sphere is `normalize`."""
+
     def test_axis_scaling(self):
-        np.testing.assert_allclose(cs.radial_project([0, 0, 2]), [0, 0, 1])
+        np.testing.assert_allclose(normalize([0, 0, 2]), [0, 0, 1])
 
     def test_345_triple(self):
-        np.testing.assert_allclose(cs.radial_project([3, 4, 0]), [0.6, 0.8, 0])
+        np.testing.assert_allclose(normalize([3, 4, 0]), [0.6, 0.8, 0])
 
     def test_idempotent_on_sphere(self):
         v = np.array([0.6, 0.0, 0.8])
-        np.testing.assert_allclose(cs.radial_project(v), v)
+        np.testing.assert_allclose(normalize(v), v)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateInput):
-            cs.radial_project([0, 0, 1e-15])
+            normalize([0, 0, 1e-15])
 
     @given(st.tuples(*[st.floats(-10, 10) for _ in range(3)]),
            st.floats(1e-3, 1e3))
@@ -36,7 +39,7 @@ class TestRadialProject:
         if np.linalg.norm(v) < 1e-6:
             return
         np.testing.assert_allclose(
-            cs.radial_project(lam * v), cs.radial_project(v), atol=1e-9
+            normalize(lam * v), normalize(v), atol=1e-9
         )
 
 
@@ -45,16 +48,16 @@ class TestConeMargin:
         self.cone = cs.ConeSpec([0, 0, 1], np.pi / 3)
 
     def test_axis_point(self):
-        assert cs.cone_margin(self.cone, [0, 0, 1]) == pytest.approx(0.5)
+        assert self.cone.margin([0, 0, 1]) == pytest.approx(0.5)
 
     def test_boundary_ray(self):
         b = np.pi / 3
         x = 2.7 * np.array([np.sin(b), 0, np.cos(b)])
-        assert cs.cone_margin(self.cone, x) == pytest.approx(0.0, abs=1e-12)
+        assert self.cone.margin(x) == pytest.approx(0.0, abs=1e-12)
 
     def test_generic_point(self):
         # (1,0,1): 1 - sqrt(2) cos(pi/3) = 1 - sqrt(2)/2
-        assert cs.cone_margin(self.cone, [1, 0, 1]) == pytest.approx(
+        assert self.cone.margin([1, 0, 1]) == pytest.approx(
             1.0 - np.sqrt(2.0) / 2.0
         )
 
@@ -63,8 +66,8 @@ class TestConeMargin:
     @settings(max_examples=50)
     def test_positive_homogeneity(self, x, lam):
         x = np.asarray(x)
-        assert cs.cone_margin(self.cone, lam * x) == pytest.approx(
-            lam * cs.cone_margin(self.cone, x), rel=1e-9, abs=1e-9
+        assert self.cone.margin(lam * x) == pytest.approx(
+            lam * self.cone.margin(x), rel=1e-9, abs=1e-9
         )
 
 
