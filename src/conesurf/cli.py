@@ -148,6 +148,8 @@ def run_solve(config, out_dir):
         "energy_F": energy_F(state, field),
         "energy_G": energy_G(state, field),
         "iteration_log": state.iteration_log,
+        "level_iterations": state.level_iterations,
+        "level_damping": state.level_damping,
     })
     return EXIT_OK
 

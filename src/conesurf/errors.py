@@ -42,13 +42,22 @@ class AxisSingularity(ConesurfError):
 
 
 class NoConvergence(ConesurfError):
-    """Iterative solver hit the iteration cap before meeting tolerances."""
+    """Iterative solver stalled or hit the iteration cap before meeting
+    tolerances.  `iterations` counts every iteration of the solve; `level`
+    is the continuation level that failed and `damping` the last
+    relaxation tried there, when known."""
 
-    def __init__(self, iterations, residual):
+    def __init__(self, iterations, residual, level=None, damping=None):
         self.iterations = iterations
         self.residual = residual
+        self.level = level
+        self.damping = damping
+        where = "" if level is None else f" at continuation level {level}"
+        if damping is not None:
+            where += f" with damping {damping:g}"
         super().__init__(
-            f"no convergence after {iterations} iterations (residual {residual:.3e})"
+            f"no convergence after {iterations} iterations{where}"
+            f" (residual {residual:.3e})"
         )
 
 

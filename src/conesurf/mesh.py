@@ -47,6 +47,7 @@ class DiskMesh:
 
         self._setup_geometry()
         self._setup_matrices()
+        self._setup_triangle_operators()
         self._adjacency = None
 
     # -- geometry ---------------------------------------------------------
@@ -100,6 +101,24 @@ class DiskMesh:
         )
         self.lumped_mass = np.asarray(self.mass.sum(axis=1)).ravel()
 
+    def _setup_triangle_operators(self):
+        """Sparse gather and scatter between vertices and triangles:
+        d_u, d_v and centroid_op (nt x nv) map vertex values to per-triangle
+        derivatives and centroid values; load_op (nv x nt) spreads
+        per-triangle values to the triangle's vertices with weight area/3,
+        the P1 load vector of a piecewise-constant density."""
+        nv, nt = len(self.vertices), len(self.triangles)
+        indptr = np.arange(0, 3 * nt + 1, 3)
+        cols = self.triangles.ravel()
+
+        def gather(data):
+            return sparse.csr_matrix((data, cols, indptr), shape=(nt, nv))
+
+        self.d_u = gather(self.grad_coeffs[:, :, 0].ravel())
+        self.d_v = gather(self.grad_coeffs[:, :, 1].ravel())
+        self.centroid_op = gather(np.full(3 * nt, 1.0 / 3.0))
+        self.load_op = gather(np.repeat(self.areas / 3.0, 3)).T.tocsr()
+
     # -- derivative helpers ----------------------------------------------
 
     def triangle_gradients(self, values):
@@ -108,21 +127,14 @@ class DiskMesh:
         values: (nv,) or (nv, m); returns (nt, 2) or (nt, 2, m).
         """
         v = np.asarray(values, dtype=float)
-        tv = v[self.triangles]  # (nt, 3, ...)
-        return np.einsum("tkd,tk...->td...", self.grad_coeffs, tv)
+        return np.stack([self.d_u @ v, self.d_v @ v], axis=1)
 
     def vertex_average(self, tri_values):
-        """Area-weighted average of per-triangle values onto vertices."""
+        """Area-weighted average of per-triangle values onto vertices.  The
+        weights are load_op's row sums, which are the lumped mass."""
         tri_values = np.asarray(tri_values, dtype=float)
-        nv = len(self.vertices)
-        out = np.zeros((nv,) + tri_values.shape[1:])
-        wsum = np.zeros(nv)
-        w = self.areas.reshape((-1,) + (1,) * (tri_values.ndim - 1))
-        for k in range(3):
-            idx = self.triangles[:, k]
-            np.add.at(out, idx, w * tri_values)
-            np.add.at(wsum, idx, self.areas)
-        return out / wsum.reshape((-1,) + (1,) * (tri_values.ndim - 1))
+        w = self.lumped_mass.reshape((-1,) + (1,) * (tri_values.ndim - 1))
+        return (self.load_op @ tri_values) / w
 
     def vertex_laplacian(self, values):
         """Discrete Laplacian -(K f) / lumped mass; valid at interior rows."""

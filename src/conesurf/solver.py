@@ -2,10 +2,15 @@
 
 The vector PDE  Delta X = 2 H(X) X_u ^ X_v  with Dirichlet data X = Gamma
 on the boundary ring is discretized with P1 finite elements on the polar
-disk mesh and solved by damped Picard iteration: one sparse Laplace solve
-per step with the right-hand side frozen at the previous iterate, plus
+disk mesh and solved by Picard iteration: one sparse Laplace solve per
+step with the right-hand side frozen at the previous iterate, plus
 continuation in the field strength to stay in the contraction regime of
 the radial growth bound.
+
+Each continuation level starts undamped.  A level stalls when an update is
+not below the update STALL_WINDOW steps earlier, or is not finite; it then
+restarts from its starting iterate with the damping halved, and after
+MAX_HALVINGS halvings the solve raises NoConvergence.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -17,11 +22,14 @@ from .errors import FieldOutOfDomain, NoConvergence, OutOfRange
 from .fields import build_potential_Q
 from .mesh import DiskMesh, build_disk_mesh  # noqa: F401  (re-export)
 
+STALL_WINDOW = 20   # steps between the two updates a stall test compares
+MAX_HALVINGS = 3    # damping halvings on a stalled level before failing
+
 
 @dataclass
 class SolveConfig:
     max_iters: int = 200
-    damping: float = 0.5
+    damping: float = 1.0            # initial relaxation of every level
     residual_tol: float = 1e-8
     update_tol: float = 1e-11
     continuation_steps: int = 4
@@ -45,6 +53,8 @@ class SurfaceState:
     iterations: int = 0
     residual: float = np.nan
     iteration_log: list = dc_field(default_factory=list)
+    level_iterations: list = dc_field(default_factory=list)
+    level_damping: list = dc_field(default_factory=list)
 
     def triangle_derivatives(self):
         """(X_u, X_v) per triangle, each (nt, 3)."""
@@ -100,7 +110,7 @@ def _q_term(state, field, xu, xv):
         return 0.0
     mesh = state.mesh
     w = _wedge(xu, xv)
-    centroids = state.X[mesh.triangles].mean(axis=1)
+    centroids = mesh.centroid_op @ state.X
     total = 0.0
     for t in range(len(mesh.triangles)):
         q = build_potential_Q(field, centroids[t])
@@ -137,7 +147,7 @@ def _assemble_rhs(mesh, X, field):
     max |2 H(X) X_u ^ X_v| over the triangle centroids."""
     g = mesh.triangle_gradients(X)
     w = _wedge(g[:, 0, :], g[:, 1, :])
-    centroids = X[mesh.triangles].mean(axis=1)
+    centroids = mesh.centroid_op @ X
     r = np.linalg.norm(centroids, axis=1)
     if np.any(~np.isfinite(r)):
         raise FieldOutOfDomain("iterate has non-finite vertices")
@@ -145,12 +155,8 @@ def _assemble_rhs(mesh, X, field):
     if needs_origin and np.any(r < 1e-10):
         raise FieldOutOfDomain("iterate touches the origin of the field domain")
     h = field.eval(centroids)
-    tri_load = -(2.0 * h * mesh.areas / 3.0)[:, None] * w
-    nv = len(mesh.vertices)
-    b = np.zeros((nv, 3))
-    for k in range(3):
-        np.add.at(b, mesh.triangles[:, k], tri_load)
-    return b, float(np.max(np.abs(2.0 * h[:, None] * w)))
+    tri_load = 2.0 * h[:, None] * w
+    return -(mesh.load_op @ tri_load), float(np.max(np.abs(tri_load)))
 
 
 def solve_residual(mesh, X, field):
@@ -173,19 +179,47 @@ def arclength_parametrization(curve, n_boundary, n_fine=4096):
     return np.interp(targets, s, thetas)
 
 
-def _picard(system, field, X, boundary_values, config):
+def _relax(system, field, X, boundary_values, damping, config, log):
+    """Damped Picard steps from X, appending each update to log, until the
+    update meets config.update_tol, the steps stall or config.max_iters
+    run out.  Returns (X, stalled)."""
     mesh = system.mesh
-    log = []
-    for it in range(config.max_iters):
+    start = len(log)
+    for _ in range(config.max_iters):
         b, _ = _assemble_rhs(mesh, X, field)
         X_new = system.solve_dirichlet(boundary_values, rhs_interior=b[system.interior])
-        X_next = (1.0 - config.damping) * X + config.damping * X_new
+        X_next = (1.0 - damping) * X + damping * X_new
         update = float(np.max(np.abs(X_next - X)))
         X = X_next
         log.append(update)
         if update <= config.update_tol:
             break
-    return X, log
+        earlier = len(log) - 1 - STALL_WINDOW
+        if not np.isfinite(update) or (earlier >= start and update >= log[earlier]):
+            return X, True
+    return X, False
+
+
+def _picard(system, field, X0, boundary_values, config, log, level=None):
+    """Picard iteration for one field strength from X0, appending every
+    update (restarts included) to log.  A stalled run restarts from X0 with
+    the damping halved; returns (X, damping) of the first run that does not
+    stall and raises NoConvergence after MAX_HALVINGS halvings."""
+    for halvings in range(MAX_HALVINGS + 1):
+        damping = config.damping * 0.5**halvings
+        X, stalled = _relax(system, field, X0, boundary_values, damping, config, log)
+        if not stalled:
+            return X, damping
+    raise NoConvergence(len(log), _failure_residual(system.mesh, X, field),
+                        level=level, damping=damping)
+
+
+def _failure_residual(mesh, X, field):
+    """Residual of the iterate a stalled level ended on; inf when that
+    iterate is not finite."""
+    if not np.all(np.isfinite(X)):
+        return np.inf
+    return solve_residual(mesh, X, field)[0]
 
 
 def solve(mesh, curve, field, config=None, boundary_theta=None):
@@ -207,22 +241,28 @@ def solve(mesh, curve, field, config=None, boundary_theta=None):
     boundary_values = curve.points(boundary_theta)
     X = system.solve_dirichlet(boundary_values)
 
-    total_log = []
+    log, level_iterations, level_damping = [], [], []
     if getattr(field, "family", None) != "zero":
-        for k in range(1, config.continuation_steps + 1):
-            fk = field.scaled(k / config.continuation_steps)
-            X, log = _picard(system, fk, X, boundary_values, config)
-            total_log.extend(log)
+        n_levels = config.continuation_steps
+        for level in range(1, n_levels + 1):
+            start = len(log)
+            X, damping = _picard(system, field.scaled(level / n_levels), X,
+                                 boundary_values, config, log, level)
+            level_iterations.append(len(log) - start)
+            level_damping.append(damping)
 
     residual, scale = solve_residual(mesh, X, field)
     state = SurfaceState(
         mesh=mesh, X=X, boundary_theta=boundary_theta, pinned=pinned,
-        iterations=len(total_log), residual=residual, iteration_log=total_log,
+        iterations=len(log), residual=residual, iteration_log=log,
+        level_iterations=level_iterations, level_damping=level_damping,
     )
-    if residual > config.residual_tol * scale:
-        raise NoConvergence(state.iterations, residual)
-    if total_log and total_log[-1] > config.update_tol:
-        raise NoConvergence(state.iterations, residual)
+    if residual > config.residual_tol * scale or (log and log[-1] > config.update_tol):
+        raise NoConvergence(
+            state.iterations, residual,
+            level=len(level_iterations) or None,
+            damping=level_damping[-1] if level_damping else None,
+        )
     return state
 
 
@@ -232,7 +272,7 @@ def _resolve_with_theta(system, curve, field, config, theta, X_warm):
         return system.solve_dirichlet(boundary_values)
     X = X_warm.copy()
     X[system.boundary] = boundary_values
-    X, _ = _picard(system, field, X, boundary_values, config)
+    X, _ = _picard(system, field, X, boundary_values, config, [])
     return X
 
 

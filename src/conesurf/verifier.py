@@ -46,15 +46,10 @@ def gauss_map(state, branch_threshold=BRANCH_THRESHOLD):
     ok = defined & (norms > 0)
     n[ok] = w[ok] / norms[ok, None]
 
-    nv = len(mesh.vertices)
-    acc = np.zeros((nv, 3))
-    wsum = np.zeros(nv)
-    for k in range(3):
-        idx = mesh.triangles[ok, k]
-        np.add.at(acc, idx, mesh.areas[ok, None] * n[ok])
-        np.add.at(wsum, idx, mesh.areas[ok])
+    acc = mesh.load_op @ np.where(ok[:, None], n, 0.0)
+    wsum = mesh.load_op @ ok.astype(float)
     vdef = wsum > 0
-    vn = np.full((nv, 3), np.nan)
+    vn = np.full((len(mesh.vertices), 3), np.nan)
     vn[vdef] = acc[vdef] / wsum[vdef, None]
     lens = np.linalg.norm(vn[vdef], axis=1)
     vn[vdef] = vn[vdef] / lens[:, None]

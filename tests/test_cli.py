@@ -39,6 +39,11 @@ class TestSolveAndVerify:
         assert log["schema"] == 1
         assert log["residual"] < 1e-7
         assert log["energy_F"] >= log["energy_G"] - 1e-10
+        # one record per continuation level, summing to the whole count
+        assert len(log["level_iterations"]) == len(log["level_damping"]) == 4
+        assert sum(log["level_iterations"]) == log["iterations"]
+        assert log["iterations"] == len(log["iteration_log"])
+        assert log["level_damping"] == [1.0] * 4
 
     def test_obj_round_trip(self, tmp_path):
         cfg_path = write_config(tmp_path, solve_config())

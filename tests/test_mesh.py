@@ -130,3 +130,46 @@ class TestOperators:
         for v, nbrs in enumerate(adj):
             for w in nbrs:
                 assert v in adj[w]
+
+
+def _close(got, ref):
+    """Agreement within 1e-14 relative to the reference's largest entry."""
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(6, 12), (12, 24)])
+class TestTriangleOperators:
+    """The sparse operators against per-triangle gathers and scatters."""
+
+    def test_derivative_operators(self, n_r, n_theta):
+        m = cs.build_disk_mesh(n_r, n_theta)
+        X = np.random.default_rng(0).normal(size=(len(m.vertices), 3))
+        ref = np.einsum("tkd,tkc->tdc", m.grad_coeffs, X[m.triangles])
+        _close(m.d_u @ X, ref[:, 0])
+        _close(m.d_v @ X, ref[:, 1])
+        _close(m.triangle_gradients(X), ref)
+        _close(m.triangle_gradients(X[:, 0]), ref[:, :, 0])
+
+    def test_load_operator(self, n_r, n_theta):
+        m = cs.build_disk_mesh(n_r, n_theta)
+        t = np.random.default_rng(1).normal(size=(len(m.triangles), 3))
+        ref = np.zeros((len(m.vertices), 3))
+        for k in range(3):
+            np.add.at(ref, m.triangles[:, k], (m.areas / 3.0)[:, None] * t)
+        _close(m.load_op @ t, ref)
+
+    def test_vertex_average(self, n_r, n_theta):
+        m = cs.build_disk_mesh(n_r, n_theta)
+        t = np.random.default_rng(2).normal(size=(len(m.triangles), 3))
+        acc = np.zeros((len(m.vertices), 3))
+        wsum = np.zeros(len(m.vertices))
+        for k in range(3):
+            np.add.at(acc, m.triangles[:, k], m.areas[:, None] * t)
+            np.add.at(wsum, m.triangles[:, k], m.areas)
+        _close(m.vertex_average(t), acc / wsum[:, None])
+        _close(m.vertex_average(t[:, 0]), acc[:, 0] / wsum)
+
+    def test_centroid_operator(self, n_r, n_theta):
+        m = cs.build_disk_mesh(n_r, n_theta)
+        X = np.random.default_rng(3).normal(size=(len(m.vertices), 3))
+        _close(m.centroid_op @ X, X[m.triangles].mean(axis=1))

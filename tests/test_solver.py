@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import conesurf as cs
 from conesurf.errors import NoConvergence, OutOfRange
-from conesurf.solver import SurfaceState, arclength_parametrization
+from conesurf.solver import MAX_HALVINGS, SurfaceState, arclength_parametrization
 
 
 def make_state(mesh, X):
@@ -210,3 +212,77 @@ class TestEndToEndSolve:
         g = cs.energy_G(endtoend_state, field)
         assert f >= g - 1e-10
         assert f == pytest.approx(g, rel=0.05)
+
+
+@pytest.fixture(scope="module")
+def seed1_cap():
+    """Curve of the benchmark's seed-1 perturbed cap (beta = pi/3), mesh
+    (24, 48) and c_beta, for radial fields at multiples of the growth
+    bound."""
+    beta = np.pi / 3
+    boundary = cs.SphericalBoundary.perturbed_cap(
+        0.8377580409572781,
+        [0.0, 0.00023643249400513364, -0.007116807745607325],
+        [0.0, 0.009009273926518705, 0.008972988942744878],
+    )
+    g = cs.FourierScalar(
+        1.0,
+        [0.09247325808041942, 0.013108103752817669],
+        [-0.0030669420410969726, -0.0036320345452335485],
+    )
+    curve = cs.build_curve(boundary, g, beta)
+    return curve, cs.build_disk_mesh(24, 48), cs.c_beta(beta)
+
+
+def radial_solve(seed1_cap, strength, **config):
+    curve, mesh, c_beta = seed1_cap
+    field = cs.CurvatureField("radial", c=strength * c_beta)
+    return cs.solve(mesh, curve, field, cs.SolveConfig(max_iters=400, **config))
+
+
+class TestStallFallback:
+    # (strength / c_beta, final damping per level, iterations with damping
+    # 0.5 on every step)
+    @pytest.mark.parametrize("strength,damping,damped_iterations", [
+        (0.9, [1.0, 1.0, 1.0, 1.0], 134),
+        (3.0, [1.0, 1.0, 1.0, 1.0], 226),
+        (4.0, [1.0, 1.0, 1.0, 0.5], 450),
+        (5.0, [1.0, 1.0, 0.5, 0.5], 714),
+    ])
+    def test_converges_beyond_growth_bound(self, seed1_cap, strength, damping,
+                                           damped_iterations):
+        st = radial_solve(seed1_cap, strength)
+        assert st.residual < 1e-8
+        assert st.level_damping == damping
+        assert sum(st.level_iterations) == st.iterations == len(st.iteration_log)
+        assert st.iterations < damped_iterations
+
+    def test_ten_times_bound_fails_fast(self, seed1_cap):
+        with pytest.raises(NoConvergence) as info:
+            radial_solve(seed1_cap, 10.0)
+        exc = info.value
+        assert exc.level == 3
+        assert exc.damping == 0.5**MAX_HALVINGS
+        assert "level 3" in str(exc) and "damping 0.125" in str(exc)
+        # levels 1 and 2 (2.5 and 5 c_beta) are the two levels of this solve
+        done = radial_solve(seed1_cap, 5.0, continuation_steps=2)
+        assert exc.iterations - done.iterations <= 400
+        # with damping 0.5 on every step the solve spent 1223 iterations
+        assert exc.iterations <= 700
+
+    def test_thirty_times_bound_fails_typed_without_warnings(self, seed1_cap):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence):
+                radial_solve(seed1_cap, 30.0)
+
+
+class TestNoConvergence:
+    def test_positional_fields(self):
+        exc = NoConvergence(12, 3.5)
+        assert (exc.iterations, exc.residual, exc.level, exc.damping) == (12, 3.5, None, None)
+        assert str(exc) == "no convergence after 12 iterations (residual 3.500e+00)"
+
+    def test_message_names_level_and_damping(self):
+        exc = NoConvergence(12, 3.5, level=2, damping=0.25)
+        assert "at continuation level 2 with damping 0.25" in str(exc)
