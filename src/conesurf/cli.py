@@ -194,10 +194,7 @@ def run_verify(config, out_dir, surface_path=None):
     # radial-graph CSV table over a structured grid
     grid = domain_grid(boundary, int(vblock.get("grid_size", 512)))
     lam = extract_radial_graph(state, grid)
-    rows = [
-        (np.arctan2(p[1], p[0]), np.arccos(p[2]), l)
-        for p, l in zip(grid, lam)
-    ]
+    rows = np.column_stack([np.arctan2(grid[:, 1], grid[:, 0]), np.arccos(grid[:, 2]), lam])
     io.write_csv(
         Path(out_dir) / out.get("radial_graph_csv", "radial_graph.csv"),
         ("theta", "phi", "lambda"), rows,

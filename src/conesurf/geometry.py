@@ -56,11 +56,21 @@ class ConeSpec:
 
 
 def stereographic_south(p):
-    """Stereographic projection from the south pole: p -> (p_x, p_y)/(1 + p_z)."""
-    p = as_vec3(p)
-    if p[2] <= -1.0 + SOUTH_POLE_EPS:
-        raise PoleSingularity(f"point too close to the south pole: z={p[2]}")
-    return (p[0] / (1.0 + p[2]), p[1] / (1.0 + p[2]))
+    """Stereographic projection from the south pole: p -> (p_x, p_y)/(1 + p_z).
+
+    A point (3,) gives an (x, y) tuple; points (n, 3) give an (n, 2) array.
+    Raises PoleSingularity when a point is too close to the south pole."""
+    p = np.asarray(p, dtype=float)
+    pts = as_vec3(p)[None, :] if p.ndim == 1 else p
+    if pts.ndim != 2 or pts.shape[1] != 3 or not np.all(np.isfinite(pts)):
+        raise ValueError(f"expected finite points of shape (n, 3), got shape {p.shape}")
+    near = pts[:, 2] <= -1.0 + SOUTH_POLE_EPS
+    if np.any(near):
+        raise PoleSingularity(
+            f"point too close to the south pole: z={pts[np.argmax(near), 2]}"
+        )
+    q = pts[:, :2] / (1.0 + pts[:, 2:])
+    return q if p.ndim == 2 else (q[0, 0], q[0, 1])
 
 
 def stereographic_south_inverse(q):

@@ -11,6 +11,10 @@ from scipy import sparse
 
 from .errors import OutOfRange
 
+# Vertices per batched least-squares fit in second_derivative_operator;
+# bounds the fit's temporaries to about 1 MB whatever the mesh size.
+FIT_BATCH = 512
+
 
 class DiskMesh:
     def __init__(self, n_r, n_theta):
@@ -19,27 +23,25 @@ class DiskMesh:
         self.n_r = int(n_r)
         self.n_theta = int(n_theta)
 
-        verts = [np.zeros(2)]
-        for i in range(1, n_r + 1):
-            r = i / n_r
-            ang = 2.0 * np.pi * np.arange(n_theta) / n_theta
-            ring = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
-            verts.append(ring)
-        self.vertices = np.vstack([verts[0][None, :], *verts[1:]])
+        ang = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        r = (np.arange(1, n_r + 1) / n_r)[:, None]
+        rings = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+        self.vertices = np.vstack([np.zeros((1, 2)), rings.reshape(-1, 2)])
 
-        def vid(i, j):
-            return 1 + (i - 1) * n_theta + (j % n_theta)
+        # ring i (0-based) holds vertices 1 + i n_theta + j; triangles are the
+        # center fan, then per ring and angle the two halves of each quad
+        j = np.arange(n_theta)
+        jn = (j + 1) % n_theta
+        fan = np.stack([np.zeros(n_theta, dtype=int), 1 + j, 1 + jn], axis=1)
+        inner = 1 + n_theta * np.arange(n_r - 1)[:, None]
+        outer = inner + n_theta
+        quads = np.stack([
+            np.stack([inner + j, outer + j, outer + jn], axis=-1),
+            np.stack([inner + j, outer + jn, inner + jn], axis=-1),
+        ], axis=2)
+        self.triangles = np.vstack([fan, quads.reshape(-1, 3)])
 
-        tris = []
-        for j in range(n_theta):
-            tris.append((0, vid(1, j), vid(1, j + 1)))
-        for i in range(1, n_r):
-            for j in range(n_theta):
-                tris.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-                tris.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-        self.triangles = np.asarray(tris, dtype=int)
-
-        self.boundary = np.array([vid(n_r, j) for j in range(n_theta)], dtype=int)
+        self.boundary = 1 + (n_r - 1) * n_theta + j
         mask = np.zeros(len(self.vertices), dtype=bool)
         mask[self.boundary] = True
         self.is_boundary = mask
@@ -49,6 +51,7 @@ class DiskMesh:
         self._setup_matrices()
         self._setup_triangle_operators()
         self._adjacency = None
+        self._d2 = None
 
     # -- geometry ---------------------------------------------------------
 
@@ -72,10 +75,7 @@ class DiskMesh:
         # weights sum to the exact disk area pi
         self.quad_weights = self.areas.copy()
         seg = 0.5 * (2.0 * np.pi / self.n_theta - np.sin(2.0 * np.pi / self.n_theta))
-        bset = set(self.boundary.tolist())
-        for t, tri in enumerate(self.triangles):
-            if sum(v in bset for v in tri) == 2:
-                self.quad_weights[t] += seg
+        self.quad_weights[self.is_boundary[self.triangles].sum(axis=1) == 2] += seg
 
         self.centroids = p.mean(axis=1)
 
@@ -144,47 +144,71 @@ class DiskMesh:
             return -kv / self.lumped_mass
         return -kv / self.lumped_mass[:, None]
 
+    def _neighbor_pattern(self):
+        """Vertex adjacency from the triangle edges: a symmetric CSR
+        pattern with sorted indices and an empty diagonal."""
+        nv = len(self.vertices)
+        a = self.triangles.T.ravel()
+        b = self.triangles[:, [1, 2, 0]].T.ravel()
+        pattern = sparse.csr_matrix(
+            (np.ones(2 * len(a)), (np.concatenate([a, b]), np.concatenate([b, a]))),
+            shape=(nv, nv),
+        )
+        pattern.sum_duplicates()
+        return pattern
+
     def adjacency(self):
+        """Sorted neighbor indices of every vertex, one array per vertex."""
         if self._adjacency is None:
-            adj = [set() for _ in range(len(self.vertices))]
-            for tri in self.triangles:
-                a, b, c = tri
-                adj[a].update((b, c))
-                adj[b].update((a, c))
-                adj[c].update((a, b))
-            self._adjacency = [np.array(sorted(s)) for s in adj]
+            pattern = self._neighbor_pattern()
+            self._adjacency = np.split(pattern.indices.astype(int), pattern.indptr[1:-1])
         return self._adjacency
 
+    def second_derivative_operator(self):
+        """Sparse (3 nv x nv) operator D2 with (D2 @ f)[3 i + c] the c-th of
+        (f_uu, f_uv, f_vv) at vertex i, by local quadratic least squares
+        over the two-ring neighborhood.  Built on first use and cached.
+
+        The neighborhood comes from the triangle connectivity (the stiffness
+        matrix can hold exact zeros).  The fit's pseudo-inverse rows are
+        batched over the vertices with the same neighborhood size."""
+        if self._d2 is None:
+            nv = len(self.vertices)
+            adj = self._neighbor_pattern()
+            ring2 = (adj @ adj + adj).tocsr()
+            ring2.setdiag(0)  # every vertex has a neighbor: no new entries
+            ring2.eliminate_zeros()
+            ring2.sort_indices()
+            sizes = np.diff(ring2.indptr)
+            # row 3 i + c holds vertex i's two-ring, then i itself
+            indptr = np.concatenate([[0], np.cumsum(np.repeat(sizes + 1, 3))])
+            indices = np.empty(indptr[-1], dtype=int)
+            data = np.empty(indptr[-1])
+            for k in np.unique(sizes):
+                same = np.nonzero(sizes == k)[0]
+                for start in range(0, len(same), FIT_BATCH):
+                    center = same[start:start + FIT_BATCH]
+                    idx = ring2.indices[ring2.indptr[center][:, None] + np.arange(k)]
+                    d = self.vertices[idx] - self.vertices[center][:, None, :]
+                    du, dv = d[..., 0], d[..., 1]
+                    A = np.stack([np.ones_like(du), du, dv,
+                                  0.5 * du**2, du * dv, 0.5 * dv**2], axis=-1)
+                    W = np.linalg.pinv(A)[:, 3:, :]  # (g, 3, k)
+                    pos = indptr[3 * center[:, None] + np.arange(3)][:, :, None] + np.arange(k + 1)
+                    data[pos] = np.concatenate([W, -W.sum(axis=-1, keepdims=True)], axis=-1)
+                    indices[pos] = np.concatenate([idx, center[:, None]], axis=1)[:, None, :]
+            self._d2 = sparse.csr_matrix((data, indices, indptr), shape=(3 * nv, nv))
+        return self._d2
+
     def second_derivatives(self, values):
-        """Per-vertex (f_uu, f_uv, f_vv) by local quadratic least squares
-        over the two-ring neighborhood.  Rows for boundary vertices use
-        one-sided neighborhoods and are less accurate."""
+        """Per-vertex (f_uu, f_uv, f_vv) of a vertex field, see
+        second_derivative_operator.  Rows for boundary vertices use
+        one-sided neighborhoods and are less accurate.
+
+        values: (nv,) or (nv, m); returns (nv, 3) or (nv, 3, m).
+        """
         v = np.asarray(values, dtype=float)
-        scalar = v.ndim == 1
-        if scalar:
-            v = v[:, None]
-        adj = self.adjacency()
-        nv = len(self.vertices)
-        out = np.zeros((nv, 3, v.shape[1]))
-        for i in range(nv):
-            nbrs = set(adj[i])
-            for j in list(nbrs):
-                nbrs.update(adj[j])
-            nbrs.discard(i)
-            idx = np.array(sorted(nbrs))
-            d = self.vertices[idx] - self.vertices[i]
-            A = np.column_stack([
-                np.ones(len(idx)), d[:, 0], d[:, 1],
-                0.5 * d[:, 0] ** 2, d[:, 0] * d[:, 1], 0.5 * d[:, 1] ** 2,
-            ])
-            rhs = v[idx] - v[i]
-            coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-            out[i, 0] = coef[3]
-            out[i, 1] = coef[4]
-            out[i, 2] = coef[5]
-        if scalar:
-            return out[:, :, 0]
-        return out
+        return (self.second_derivative_operator() @ v).reshape((-1, 3) + v.shape[1:])
 
     def boundary_normal_derivative(self, values, j):
         """One-sided second-order radial derivative d/d nu at boundary

@@ -328,7 +328,7 @@ def projection_degree(state, n_probe=8):
     S_rot = S @ R.T
     if np.min(S_rot[:, 2]) <= 0.0:
         raise OriginHit("projected surface leaves the open upper hemisphere")
-    loop = np.array([stereographic_south(p) for p in S_rot[mesh.boundary]])
+    loop = stereographic_south(S_rot[mesh.boundary])
     center = loop.mean(axis=0)
     degs = []
     for i in range(n_probe):
@@ -372,6 +372,107 @@ def domain_grid(boundary, n, rng_seed=11, margin=0.05):
 
 
 EDGE_TOL = 1e-10
+# Candidate caps.  Triangle t's geodesic triangle on S^2 lies in the cap of
+# chordal radius rho_t about its normalized vertex mean.  A loose hit (all
+# barycentric coordinates >= -EDGE_TOL) lies outside the triangle by at most
+# about 20 EDGE_TOL rho_t / d^2 in chord, d the smallest cosine between p
+# and a vertex, so widening every cap by CAP_MARGIN keeps every loose hit
+# with d >= 5e-4.  A loose hit with smaller d needs rho_t above 0.3, and
+# triangles with a widened rho_t above WIDE_CAP are tested at every grid
+# point.  The other caps are found by bucketing their centers in cubes at
+# least as wide as every such cap, and no narrower than MIN_CUBE, which
+# keeps the cube keys in int64.
+CAP_MARGIN = 1e-2
+WIDE_CAP = 0.25
+MIN_CUBE = 1e-3
+_NEIGHBOR_CUBES = np.array(list(np.ndindex(3, 3, 3))) - 1
+
+
+def _candidate_pairs(S, tris, grid):
+    """(grid index, triangle index) pairs, sorted, that contain every pair
+    in which the triangle can contain the grid direction, strictly or
+    within EDGE_TOL."""
+    V = S[tris]
+    mean = V.mean(axis=1)
+    norm = np.linalg.norm(mean, axis=1)
+    c = mean / np.where(norm > 0.0, norm, 1.0)[:, None]
+    reach = (1.0 + CAP_MARGIN) * np.max(np.linalg.norm(V - c[:, None, :], axis=2), axis=1)
+    narrow = np.nonzero(reach <= WIDE_CAP)[0]
+    wide = np.nonzero(reach > WIDE_CAP)[0]
+
+    # a direction within reach of a center lies in one of the 27 cubes
+    # around the center's own
+    h = max(np.max(reach[narrow], initial=0.0), MIN_CUBE)
+    span = int(np.ceil(1.0 / h)) + 2  # every cube coordinate is in [-span, span)
+
+    def key(cube):
+        return ((cube[..., 0] + span) * 2 * span + cube[..., 1] + span) * 2 * span + cube[..., 2] + span
+
+    keys = key(np.floor(c[narrow] / h).astype(int))
+    order = np.argsort(keys)
+    keys = keys[order]
+    probe = key(np.floor(grid / h).astype(int)[:, None, :] + _NEIGHBOR_CUBES).ravel()
+    lo = np.searchsorted(keys, probe, "left")
+    count = np.searchsorted(keys, probe, "right") - lo
+    q = np.repeat(np.arange(len(probe)), count)
+    gi = q // len(_NEIGHBOR_CUBES)
+    ti = narrow[order[lo[q] + np.arange(len(q)) - (np.cumsum(count) - count)[q]]]
+    keep = np.linalg.norm(grid[gi] - c[ti], axis=1) <= reach[ti]
+
+    gi = np.concatenate([gi[keep], np.repeat(np.arange(len(grid)), len(wide))])
+    ti = np.concatenate([ti[keep], np.tile(wide, len(grid))])
+    order = np.lexsort((ti, gi))
+    return gi[order], ti[order]
+
+
+def _locate(S, tris, grid):
+    """Containing triangle and normalized barycentric weights of every grid
+    direction on the unit-sphere mesh (S, tris); see extract_radial_graph."""
+    grid = np.asarray(grid, dtype=float)
+    n = len(grid)
+
+    # tangent frame at every grid direction
+    t1 = np.cross(grid, [0.0, 0.0, 1.0])
+    polar = np.linalg.norm(t1, axis=1) < 1e-8
+    t1[polar] = np.cross(grid[polar], [1.0, 0.0, 0.0])
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    t2 = np.cross(grid, t1)
+
+    gi, ti = _candidate_pairs(S, tris, grid)
+    V = S[tris[ti]]  # (pairs, 3 vertices, 3)
+    d = np.einsum("pkj,pj->pk", V, grid[gi])
+    front = d > 1e-9
+    G = np.where(front[..., None],
+                 V / np.where(front, d, 1.0)[..., None] - grid[gi][:, None, :], np.nan)
+    ax, bx, cx = np.einsum("pkj,pj->kp", G, t1[gi])
+    ay, by, cy = np.einsum("pkj,pj->kp", G, t2[gi])
+
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    nz = front.all(axis=1) & (np.abs(det) > 1e-18)
+    safe = np.where(nz, det, 1.0)
+    bary = np.where(nz[:, None], np.stack([
+        (bx * cy - by * cx) / safe,
+        (cx * ay - cy * ax) / safe,
+        (ax * by - ay * bx) / safe,
+    ], axis=1), np.nan)
+
+    strict = nz & np.all(bary > EDGE_TOL, axis=1)
+    loose = nz & np.all(bary >= -EDGE_TOL, axis=1)
+    n_strict = np.bincount(gi[strict], minlength=n)
+    bad = np.nonzero((n_strict > 1) | (np.bincount(gi[loose], minlength=n) == 0))[0]
+    if len(bad):
+        g = bad[0]
+        if n_strict[g] > 1:
+            raise NotInjectiveAt(tuple(grid[g]), int(n_strict[g]))
+        raise Uncovered(tuple(grid[g]))
+
+    # pairs are sorted by (grid, triangle), so the first loose pair of each
+    # grid point is its lowest-index loose triangle; a strict hit overrides
+    _, first = np.unique(gi[loose], return_index=True)
+    pick = np.nonzero(loose)[0][first]
+    pick[gi[strict]] = np.nonzero(strict)[0]
+    w = bary[pick]
+    return ti[pick], w / w.sum(axis=1)[:, None]
 
 
 def extract_radial_graph(state, grid):
@@ -380,55 +481,14 @@ def extract_radial_graph(state, grid):
 
     Point location is by gnomonic projection onto the tangent plane at p
     followed by a planar barycentric test; a point on an edge is assigned
-    to the lowest-index containing triangle.  Raises when a grid point is
+    to the lowest-index containing triangle.  Only the triangles whose
+    bounding cap on S^2 reaches p are tested, found by bucketing the cap
+    centers in cubes.  Raises for the first grid point, in grid order, that is
     covered zero times or more than once (injectivity failure)."""
-    mesh = state.mesh
-    X = state.X
-    radii = np.linalg.norm(X, axis=1)
-    S = X / radii[:, None]
-    tris = mesh.triangles
-    lam = np.zeros(len(grid))
-
-    for gi, p in enumerate(np.asarray(grid, dtype=float)):
-        t1 = np.cross(p, np.array([0.0, 0.0, 1.0]))
-        if np.linalg.norm(t1) < 1e-8:
-            t1 = np.cross(p, np.array([1.0, 0.0, 0.0]))
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(p, t1)
-
-        d = S @ p
-        front = d > 1e-9
-        G = np.where(front[:, None], S / np.where(front, d, 1.0)[:, None] - p, np.nan)
-        x = G @ t1
-        y = G @ t2
-
-        a0, a1, a2 = tris[:, 0], tris[:, 1], tris[:, 2]
-        ok = front[a0] & front[a1] & front[a2]
-        ax, ay = x[a0], y[a0]
-        bx, by = x[a1], y[a1]
-        cx, cy = x[a2], y[a2]
-        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        nz = ok & (np.abs(det) > 1e-18)
-        l0 = np.where(nz, (bx * cy - by * cx) / np.where(nz, det, 1.0), np.nan)
-        l1 = np.where(nz, (cx * ay - cy * ax) / np.where(nz, det, 1.0), np.nan)
-        l2 = np.where(nz, (ax * by - ay * bx) / np.where(nz, det, 1.0), np.nan)
-
-        strict = nz & (l0 > EDGE_TOL) & (l1 > EDGE_TOL) & (l2 > EDGE_TOL)
-        n_strict = int(np.count_nonzero(strict))
-        if n_strict > 1:
-            raise NotInjectiveAt(tuple(p), n_strict)
-        if n_strict == 1:
-            t = int(np.nonzero(strict)[0][0])
-        else:
-            loose = nz & (l0 >= -EDGE_TOL) & (l1 >= -EDGE_TOL) & (l2 >= -EDGE_TOL)
-            hits = np.nonzero(loose)[0]
-            if len(hits) == 0:
-                raise Uncovered(tuple(p))
-            t = int(hits[0])
-        w = np.array([l0[t], l1[t], l2[t]])
-        w = w / w.sum()
-        lam[gi] = float(w @ radii[tris[t]])
-    return lam
+    radii = np.linalg.norm(state.X, axis=1)
+    tris = state.mesh.triangles
+    t, w = _locate(state.X / radii[:, None], tris, grid)
+    return np.einsum("ij,ij->i", w, radii[tris[t]])
 
 
 # ---------------------------------------------------------------------------

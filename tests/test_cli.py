@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conesurf import cli, io
+from conesurf.verifier import domain_grid
 
 BETA = np.pi / 3
 
@@ -63,6 +64,23 @@ class TestSolveAndVerify:
         assert (tmp_path / "radial_graph.csv").exists()
         header = (tmp_path / "radial_graph.csv").read_text().splitlines()[0]
         assert header == "theta,phi,lambda"
+
+    def test_radial_graph_csv_rows(self, tmp_path):
+        # the same bytes as formatting each grid point's row on its own
+        cfg = solve_config()
+        cfg_path = write_config(tmp_path, cfg)
+        cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)])
+        assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "radial_graph.csv").read_text()
+        lam = [float(line.split(",")[2]) for line in text.splitlines()[1:]]
+        grid = domain_grid(cli.parse_boundary(cfg)[0], cfg["verify"]["grid_size"])
+        assert len(lam) == len(grid)
+        out = tmp_path / "expected.csv"
+        io.write_csv(out, ("theta", "phi", "lambda"), [
+            (np.arctan2(p[1], p[0]), np.arccos(p[2]), l)
+            for p, l in zip(grid, np.array(lam))
+        ])
+        assert text == out.read_text()
 
     def test_verify_mirrored_surface_fails(self, tmp_path):
         cfg_path = write_config(tmp_path, solve_config())

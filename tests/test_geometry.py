@@ -85,6 +85,26 @@ class TestStereographic:
         with pytest.raises(PoleSingularity):
             cs.stereographic_south([0, 0, -1])
 
+    def test_array_matches_rows(self):
+        rng = np.random.default_rng(0)
+        p = rng.normal(size=(50, 3))
+        p /= np.linalg.norm(p, axis=1)[:, None]
+        p[:, 2] = np.abs(p[:, 2])
+        q = cs.stereographic_south(p)
+        assert q.shape == (50, 2)
+        np.testing.assert_array_equal(q, [cs.stereographic_south(row) for row in p])
+        assert cs.stereographic_south(np.zeros((0, 3))).shape == (0, 2)
+
+    def test_array_pole_singularity_names_the_row(self):
+        p = np.array([[0.0, 0.6, 0.8], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(PoleSingularity, match="z=-1.0"):
+            cs.stereographic_south(p)
+
+    def test_bad_shapes_rejected(self):
+        for bad in (np.zeros((4, 2)), np.zeros((2, 2, 3)), [[0.0, 0.0, np.nan]]):
+            with pytest.raises(ValueError):
+                cs.stereographic_south(bad)
+
     @given(st.floats(0, 2 * np.pi), st.floats(-0.9, 1.0))
     @settings(max_examples=100)
     def test_round_trip(self, theta, z):

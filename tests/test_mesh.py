@@ -173,3 +173,95 @@ class TestTriangleOperators:
         m = cs.build_disk_mesh(n_r, n_theta)
         X = np.random.default_rng(3).normal(size=(len(m.vertices), 3))
         _close(m.centroid_op @ X, X[m.triangles].mean(axis=1))
+
+
+def reference_mesh(n_r, n_theta):
+    """Vertices, triangles and boundary built point by point and triangle
+    by triangle."""
+    verts = [np.zeros((1, 2))]
+    for i in range(1, n_r + 1):
+        r = i / n_r
+        ang = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        verts.append(np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1))
+
+    def vid(i, j):
+        return 1 + (i - 1) * n_theta + (j % n_theta)
+
+    tris = [(0, vid(1, j), vid(1, j + 1)) for j in range(n_theta)]
+    for i in range(1, n_r):
+        for j in range(n_theta):
+            tris.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
+            tris.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
+    boundary = np.array([vid(n_r, j) for j in range(n_theta)])
+    return np.vstack(verts), np.asarray(tris, dtype=int), boundary
+
+
+def reference_second_derivatives(mesh, values):
+    """Per-vertex quadratic least squares, one lstsq per vertex over its
+    two-ring taken from the triangle connectivity."""
+    adj = [set() for _ in range(len(mesh.vertices))]
+    for a, b, c in mesh.triangles:
+        adj[a].update((b, c))
+        adj[b].update((a, c))
+        adj[c].update((a, b))
+    v = np.asarray(values, dtype=float)
+    out = np.zeros((len(mesh.vertices), 3) + v.shape[1:])
+    for i in range(len(mesh.vertices)):
+        nbrs = set(adj[i])
+        for j in adj[i]:
+            nbrs |= adj[j]
+        nbrs.discard(i)
+        idx = np.array(sorted(nbrs))
+        d = mesh.vertices[idx] - mesh.vertices[i]
+        A = np.column_stack([
+            np.ones(len(idx)), d[:, 0], d[:, 1],
+            0.5 * d[:, 0] ** 2, d[:, 0] * d[:, 1], 0.5 * d[:, 1] ** 2,
+        ])
+        coef, *_ = np.linalg.lstsq(A, v[idx] - v[i], rcond=None)
+        out[i] = coef[3:]
+    return out, adj
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(4, 8), (6, 12), (12, 24), (48, 96)])
+def test_construction_matches_loops(n_r, n_theta):
+    m = cs.build_disk_mesh(n_r, n_theta)
+    verts, tris, boundary = reference_mesh(n_r, n_theta)
+    np.testing.assert_array_equal(m.vertices, verts)
+    np.testing.assert_array_equal(m.triangles, tris)
+    np.testing.assert_array_equal(m.boundary, boundary)
+    # each boundary chord's circular segment goes to its one triangle
+    seg = 0.5 * (2.0 * np.pi / n_theta - np.sin(2.0 * np.pi / n_theta))
+    weights = m.areas.copy()
+    bset = set(boundary.tolist())
+    for t, tri in enumerate(tris):
+        if sum(v in bset for v in tri) == 2:
+            weights[t] += seg
+    np.testing.assert_array_equal(m.quad_weights, weights)
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(6, 12), (12, 24), (48, 96)])
+def test_second_derivative_operator_matches_lstsq(n_r, n_theta):
+    m = cs.build_disk_mesh(n_r, n_theta)
+    x, y = m.vertices[:, 0], m.vertices[:, 1]
+    F = np.stack([np.sin(2.0 * x + y), np.exp(x) * np.cos(3.0 * y), x**3 - x * y**2], axis=1)
+    ref, adj = reference_second_derivatives(m, F)
+    tol = 1e-11 * np.max(np.abs(ref))
+    np.testing.assert_allclose(m.second_derivatives(F), ref, rtol=0, atol=tol)
+    np.testing.assert_allclose(m.second_derivatives(F[:, 0]), ref[:, :, 0], rtol=0,
+                               atol=1e-11 * np.max(np.abs(ref[:, :, 0])))
+    for got, want in zip(m.adjacency(), adj):
+        np.testing.assert_array_equal(got, sorted(want))
+
+
+def test_second_derivative_operator_is_lazy_and_cached(flat_disk_curve, monkeypatch):
+    m = cs.build_disk_mesh(6, 12)
+    D2 = m.second_derivative_operator()
+    assert D2.shape == (3 * len(m.vertices), len(m.vertices))
+    assert m.second_derivative_operator() is D2
+
+    def refuse(self):
+        raise AssertionError("solve built the second-derivative operator")
+
+    monkeypatch.setattr(cs.DiskMesh, "second_derivative_operator", refuse)
+    curve, _ = flat_disk_curve
+    cs.solve(cs.build_disk_mesh(6, 12), curve, cs.CurvatureField("zero"))

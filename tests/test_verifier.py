@@ -5,6 +5,8 @@ import conesurf as cs
 from conesurf.errors import NotInjectiveAt, Uncovered
 from conesurf.solver import SurfaceState
 from conesurf.verifier import (
+    EDGE_TOL,
+    _locate,
     check_cone_condition_functions,
     check_enclosure,
     check_radial_normal,
@@ -254,6 +256,153 @@ class TestRadialGraph:
         p = p / np.linalg.norm(p)
         with pytest.raises(NotInjectiveAt):
             extract_radial_graph(st, p[None, :])
+
+
+def reference_radial_graph(state, grid):
+    """Brute-force point location, every triangle tested for every grid
+    direction in turn: (triangle per direction, lambda per direction)."""
+    tris = state.mesh.triangles
+    radii = np.linalg.norm(state.X, axis=1)
+    S = state.X / radii[:, None]
+    picked, lam = [], []
+    for p in np.asarray(grid, dtype=float):
+        t1 = np.cross(p, np.array([0.0, 0.0, 1.0]))
+        if np.linalg.norm(t1) < 1e-8:
+            t1 = np.cross(p, np.array([1.0, 0.0, 0.0]))
+        t1 /= np.linalg.norm(t1)
+        t2 = np.cross(p, t1)
+
+        d = S @ p
+        front = d > 1e-9
+        G = np.where(front[:, None], S / np.where(front, d, 1.0)[:, None] - p, np.nan)
+        x = G @ t1
+        y = G @ t2
+
+        a0, a1, a2 = tris[:, 0], tris[:, 1], tris[:, 2]
+        ok = front[a0] & front[a1] & front[a2]
+        ax, ay = x[a0], y[a0]
+        bx, by = x[a1], y[a1]
+        cx, cy = x[a2], y[a2]
+        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        nz = ok & (np.abs(det) > 1e-18)
+        l0 = np.where(nz, (bx * cy - by * cx) / np.where(nz, det, 1.0), np.nan)
+        l1 = np.where(nz, (cx * ay - cy * ax) / np.where(nz, det, 1.0), np.nan)
+        l2 = np.where(nz, (ax * by - ay * bx) / np.where(nz, det, 1.0), np.nan)
+
+        strict = nz & (l0 > EDGE_TOL) & (l1 > EDGE_TOL) & (l2 > EDGE_TOL)
+        n_strict = int(np.count_nonzero(strict))
+        if n_strict > 1:
+            raise NotInjectiveAt(tuple(p), n_strict)
+        if n_strict == 1:
+            t = int(np.nonzero(strict)[0][0])
+        else:
+            loose = nz & (l0 >= -EDGE_TOL) & (l1 >= -EDGE_TOL) & (l2 >= -EDGE_TOL)
+            hits = np.nonzero(loose)[0]
+            if len(hits) == 0:
+                raise Uncovered(tuple(p))
+            t = int(hits[0])
+        w = np.array([l0[t], l1[t], l2[t]])
+        w = w / w.sum()
+        picked.append(t)
+        lam.append(float(w @ radii[tris[t]]))
+    return np.array(picked, dtype=int), np.array(lam)
+
+
+def located_triangles(state, grid):
+    S = state.X / np.linalg.norm(state.X, axis=1)[:, None]
+    return _locate(S, state.mesh.triangles, grid)[0]
+
+
+def folded_state():
+    # u -> u^3 - 0.75 u folds three times over x near 0
+    mesh = cs.build_disk_mesh(16, 32)
+    return synthetic_state(mesh, lambda u, v: np.array([u**3 - 0.75 * u, v, 2.0]))
+
+
+def sphere_state():
+    def fn(u, v):
+        p = np.array([u, v, 2.0])
+        return 3.0 * p / np.linalg.norm(p)
+
+    return synthetic_state(cs.build_disk_mesh(16, 32), fn)
+
+
+class TestRadialGraphAgainstBruteForce:
+    """The KD-tree candidate location against testing every triangle."""
+
+    def check(self, state, grid):
+        ref_t, ref_lam = reference_radial_graph(state, grid)
+        lam = extract_radial_graph(state, grid)
+        np.testing.assert_allclose(lam, ref_lam, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(located_triangles(state, grid), ref_t)
+
+    def test_flat_disk(self, flat_disk_state, flat_disk_curve):
+        self.check(flat_disk_state, domain_grid(flat_disk_curve[0].boundary, 300))
+
+    def test_sphere(self):
+        self.check(sphere_state(), domain_grid(cs.SphericalBoundary.cap(np.arctan2(1.0, 2.0)), 300))
+
+    def test_solved_perturbed_cap(self, endtoend_state, endtoend_scenario):
+        self.check(endtoend_state, domain_grid(endtoend_scenario[1], 300))
+
+    def test_wide_triangles(self):
+        # a coarse mesh over a wide cap: 72 of the 132 triangles have caps
+        # wider than WIDE_CAP and are tested at every grid point
+        st = synthetic_state(cs.build_disk_mesh(6, 12), lambda u, v: np.array([2 * u, 2 * v, 1.0]))
+        self.check(st, domain_grid(cs.SphericalBoundary.cap(np.arctan(2.0)), 300))
+
+    def test_empty_grid(self, flat_disk_state):
+        assert extract_radial_graph(flat_disk_state, np.zeros((0, 3))).shape == (0,)
+
+    def test_shared_vertex_and_edge_take_lowest_index(self):
+        mesh = cs.build_disk_mesh(8, 16)
+        st = synthetic_state(mesh, lambda u, v: np.array([u, v, 2.0]))
+        S = st.X / np.linalg.norm(st.X, axis=1)[:, None]
+        v = 1 + 2 * mesh.n_theta + 5        # ring 3
+        w = v + mesh.n_theta                 # ring 4, same angle
+        at_v = np.nonzero(np.any(mesh.triangles == v, axis=1))[0]
+        on_vw = np.nonzero(np.any(mesh.triangles == v, axis=1)
+                           & np.any(mesh.triangles == w, axis=1))[0]
+        assert len(at_v) == 6 and len(on_vw) == 2
+        mid = S[v] + S[w]
+        grid = np.stack([S[v], mid / np.linalg.norm(mid)])
+        ref_t, _ = reference_radial_graph(st, grid)
+        np.testing.assert_array_equal(ref_t, [at_v[0], on_vw[0]])
+        np.testing.assert_array_equal(located_triangles(st, grid), ref_t)
+
+    def test_directions_at_the_rim_of_a_cap(self):
+        # just beyond each triangle's vertex farthest from its cap center:
+        # loose hits outside the unwidened cap
+        mesh = cs.build_disk_mesh(8, 16)
+        st = synthetic_state(mesh, lambda u, v: np.array([u, v, 2.0]))
+        S = st.X / np.linalg.norm(st.X, axis=1)[:, None]
+        c = S[mesh.triangles].mean(axis=1)
+        c /= np.linalg.norm(c, axis=1)[:, None]
+        out = S[mesh.triangles] - c[:, None, :]
+        far = np.argmax(np.linalg.norm(out, axis=2), axis=1)
+        vertex = mesh.triangles[np.arange(len(c)), far]
+        step = out[np.arange(len(c)), far]
+        grid = S[vertex] + 1e-12 * step / np.linalg.norm(step, axis=1)[:, None]
+        grid = grid[~mesh.is_boundary[vertex]]
+        self.check(st, grid / np.linalg.norm(grid, axis=1)[:, None])
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_first_failing_point_in_grid_order(self, order):
+        st = folded_state()
+        folded = np.array([0.0, 0.1, 2.0]) / np.linalg.norm([0.0, 0.1, 2.0])
+        outside = np.array([np.sin(1.0), 0.0, np.cos(1.0)])
+        grid = np.stack([folded, outside])[list(order)]
+        errors = []
+        for locate in (reference_radial_graph, extract_radial_graph):
+            with pytest.raises((NotInjectiveAt, Uncovered)) as info:
+                locate(st, grid)
+            errors.append(info.value)
+        ref, got = errors
+        assert type(got) is type(ref)
+        assert got.point == ref.point == tuple(grid[0])
+        assert isinstance(got, NotInjectiveAt if order == (0, 1) else Uncovered)
+        if isinstance(ref, NotInjectiveAt):
+            assert got.count == ref.count
 
 
 class TestFullReport:
