@@ -150,6 +150,7 @@ def run_solve(config, out_dir):
         "iteration_log": state.iteration_log,
         "level_iterations": state.level_iterations,
         "level_damping": state.level_damping,
+        "level_contraction": state.level_contraction,
     })
     return EXIT_OK
 

@@ -44,17 +44,22 @@ class AxisSingularity(ConesurfError):
 class NoConvergence(ConesurfError):
     """Iterative solver stalled or hit the iteration cap before meeting
     tolerances.  `iterations` counts every iteration of the solve; `level`
-    is the continuation level that failed and `damping` the last
-    relaxation tried there, when known."""
+    is the continuation level that failed, `damping` the last relaxation
+    tried there and `contraction` the estimated ratio of successive updates
+    of its last run, when known."""
 
-    def __init__(self, iterations, residual, level=None, damping=None):
+    def __init__(self, iterations, residual, level=None, damping=None,
+                 contraction=None):
         self.iterations = iterations
         self.residual = residual
         self.level = level
         self.damping = damping
+        self.contraction = contraction
         where = "" if level is None else f" at continuation level {level}"
         if damping is not None:
             where += f" with damping {damping:g}"
+        if contraction is not None:
+            where += f", contraction {contraction:.4g}"
         super().__init__(
             f"no convergence after {iterations} iterations{where}"
             f" (residual {residual:.3e})"

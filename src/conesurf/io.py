@@ -2,11 +2,14 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IoError
+
+_CORNER_TAIL = re.compile(r"/\S*")   # texture/normal indices of an OBJ corner
 
 
 def _open_out(path):
@@ -27,20 +30,28 @@ def write_obj(path, vertices, triangles):
 
 
 def read_obj(path):
+    """(X, triangles) of an OBJ file: the `v` records give X (nv, 3), and
+    the first index of each of the first three corners of an `f` record
+    (`i`, `i/j` or `i/j/k`) gives the 0-based triangles (nt, 3).  Other
+    records and blank lines are skipped."""
     path = Path(path)
     if not path.exists():
         raise IoError(path, f"surface artifact not found: {path}")
-    verts, tris = [], []
+    coords, corners = [], []
     with open(path) as fh:
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
             if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
+                coords += parts[1:4]
             elif parts[0] == "f":
-                tris.append([int(x.split("/")[0]) - 1 for x in parts[1:4]])
-    return np.asarray(verts, dtype=float), np.asarray(tris, dtype=int)
+                corners += parts[1:4]
+    faces = " ".join(corners)
+    if "/" in faces:
+        corners = _CORNER_TAIL.sub("", faces).split()
+    X = np.array(coords, dtype=float).reshape(-1, 3)
+    return X, np.array(corners, dtype=int).reshape(-1, 3) - 1
 
 
 def write_json(path, payload):

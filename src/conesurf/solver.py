@@ -11,6 +11,13 @@ Each continuation level starts undamped.  A level stalls when an update is
 not below the update STALL_WINDOW steps earlier, or is not finite; it then
 restarts from its starting iterate with the damping halved, and after
 MAX_HALVINGS halvings the solve raises NoConvergence.
+
+Only the final level is driven to config.update_tol.  A level before it
+only seeds the next one, so it stops once its update is at most
+max(update_tol, LEVEL_REDUCTION * the first update of that run): an iterate
+left at that fraction is off by about LEVEL_REDUCTION * q / (1 - q) of the
+jump between levels (q the contraction per step), which the next level's
+first steps remove.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -23,7 +30,9 @@ from .fields import build_potential_Q
 from .mesh import DiskMesh, build_disk_mesh  # noqa: F401  (re-export)
 
 STALL_WINDOW = 20   # steps between the two updates a stall test compares
+LEVEL_REDUCTION = 1e-2  # intermediate level stops at this share of its first update
 MAX_HALVINGS = 3    # damping halvings on a stalled level before failing
+CONTRACTION_WINDOW = 5  # trailing update ratios in a contraction estimate
 
 
 @dataclass
@@ -55,6 +64,7 @@ class SurfaceState:
     iteration_log: list = dc_field(default_factory=list)
     level_iterations: list = dc_field(default_factory=list)
     level_damping: list = dc_field(default_factory=list)
+    level_contraction: list = dc_field(default_factory=list)
 
     def triangle_derivatives(self):
         """(X_u, X_v) per triangle, each (nt, 3)."""
@@ -179,12 +189,15 @@ def arclength_parametrization(curve, n_boundary, n_fine=4096):
     return np.interp(targets, s, thetas)
 
 
-def _relax(system, field, X, boundary_values, damping, config, log):
+def _relax(system, field, X, boundary_values, damping, config, log, final):
     """Damped Picard steps from X, appending each update to log, until the
-    update meets config.update_tol, the steps stall or config.max_iters
-    run out.  Returns (X, stalled)."""
+    update meets the level's tolerance, the steps stall or config.max_iters
+    run out.  The tolerance is config.update_tol on the final level and
+    max(update_tol, LEVEL_REDUCTION * first update) before it.  Returns
+    (X, stalled)."""
     mesh = system.mesh
     start = len(log)
+    tol = config.update_tol
     for _ in range(config.max_iters):
         b, _ = _assemble_rhs(mesh, X, field)
         X_new = system.solve_dirichlet(boundary_values, rhs_interior=b[system.interior])
@@ -192,26 +205,45 @@ def _relax(system, field, X, boundary_values, damping, config, log):
         update = float(np.max(np.abs(X_next - X)))
         X = X_next
         log.append(update)
-        if update <= config.update_tol:
+        if not np.isfinite(update):
+            return X, True
+        if not final and len(log) == start + 1:
+            tol = max(config.update_tol, LEVEL_REDUCTION * update)
+        if update <= tol:
             break
         earlier = len(log) - 1 - STALL_WINDOW
-        if not np.isfinite(update) or (earlier >= start and update >= log[earlier]):
+        if earlier >= start and update >= log[earlier]:
             return X, True
     return X, False
 
 
-def _picard(system, field, X0, boundary_values, config, log, level=None):
+def _contraction(updates):
+    """Geometric mean of the ratios of successive updates over the last
+    CONTRACTION_WINDOW steps; None with fewer than two updates, inf when
+    the updates left the finite range."""
+    tail = updates[-(CONTRACTION_WINDOW + 1):]
+    if len(tail) < 2 or not tail[0] > 0:
+        return None
+    q = (tail[-1] / tail[0]) ** (1.0 / (len(tail) - 1))
+    return float(q) if np.isfinite(q) else np.inf
+
+
+def _picard(system, field, X0, boundary_values, config, log, level=None, final=True):
     """Picard iteration for one field strength from X0, appending every
     update (restarts included) to log.  A stalled run restarts from X0 with
-    the damping halved; returns (X, damping) of the first run that does not
-    stall and raises NoConvergence after MAX_HALVINGS halvings."""
+    the damping halved; returns (X, damping, contraction) of the first run
+    that does not stall and raises NoConvergence after MAX_HALVINGS
+    halvings."""
     for halvings in range(MAX_HALVINGS + 1):
         damping = config.damping * 0.5**halvings
-        X, stalled = _relax(system, field, X0, boundary_values, damping, config, log)
+        start = len(log)
+        X, stalled = _relax(system, field, X0, boundary_values, damping, config, log,
+                            final)
         if not stalled:
-            return X, damping
+            return X, damping, _contraction(log[start:])
     raise NoConvergence(len(log), _failure_residual(system.mesh, X, field),
-                        level=level, damping=damping)
+                        level=level, damping=damping,
+                        contraction=_contraction(log[start:]))
 
 
 def _failure_residual(mesh, X, field):
@@ -241,27 +273,31 @@ def solve(mesh, curve, field, config=None, boundary_theta=None):
     boundary_values = curve.points(boundary_theta)
     X = system.solve_dirichlet(boundary_values)
 
-    log, level_iterations, level_damping = [], [], []
+    log, level_iterations, level_damping, level_contraction = [], [], [], []
     if getattr(field, "family", None) != "zero":
         n_levels = config.continuation_steps
         for level in range(1, n_levels + 1):
             start = len(log)
-            X, damping = _picard(system, field.scaled(level / n_levels), X,
-                                 boundary_values, config, log, level)
+            X, damping, contraction = _picard(
+                system, field.scaled(level / n_levels), X, boundary_values, config,
+                log, level, final=level == n_levels)
             level_iterations.append(len(log) - start)
             level_damping.append(damping)
+            level_contraction.append(contraction)
 
     residual, scale = solve_residual(mesh, X, field)
     state = SurfaceState(
         mesh=mesh, X=X, boundary_theta=boundary_theta, pinned=pinned,
         iterations=len(log), residual=residual, iteration_log=log,
         level_iterations=level_iterations, level_damping=level_damping,
+        level_contraction=level_contraction,
     )
     if residual > config.residual_tol * scale or (log and log[-1] > config.update_tol):
         raise NoConvergence(
             state.iterations, residual,
             level=len(level_iterations) or None,
             damping=level_damping[-1] if level_damping else None,
+            contraction=level_contraction[-1] if level_contraction else None,
         )
     return state
 
@@ -272,7 +308,7 @@ def _resolve_with_theta(system, curve, field, config, theta, X_warm):
         return system.solve_dirichlet(boundary_values)
     X = X_warm.copy()
     X[system.boundary] = boundary_values
-    X, _ = _picard(system, field, X, boundary_values, config, [])
+    X, _, _ = _picard(system, field, X, boundary_values, config, [])
     return X
 
 

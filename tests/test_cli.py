@@ -45,6 +45,9 @@ class TestSolveAndVerify:
         assert sum(log["level_iterations"]) == log["iterations"]
         assert log["iterations"] == len(log["iteration_log"])
         assert log["level_damping"] == [1.0] * 4
+        # a contraction estimate per level, each below 1 for this field
+        assert len(log["level_contraction"]) == 4
+        assert all(0.0 < q < 1.0 for q in log["level_contraction"])
 
     def test_obj_round_trip(self, tmp_path):
         cfg_path = write_config(tmp_path, solve_config())

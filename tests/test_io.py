@@ -1,0 +1,69 @@
+import numpy as np
+import pytest
+
+import conesurf as cs
+from conesurf import io
+from conesurf.errors import IoError
+
+
+def read_obj_per_line(path):
+    """Reference reader: one float/int conversion per record."""
+    verts, tris = [], []
+    with open(path) as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == "v":
+                verts.append([float(x) for x in parts[1:4]])
+            elif parts[0] == "f":
+                tris.append([int(x.split("/")[0]) - 1 for x in parts[1:4]])
+    return np.asarray(verts, dtype=float), np.asarray(tris, dtype=int)
+
+
+def assert_same_as_reference(path):
+    X, tris = io.read_obj(path)
+    X_ref, tris_ref = read_obj_per_line(path)
+    assert X.dtype == X_ref.dtype and tris.dtype == tris_ref.dtype
+    np.testing.assert_array_equal(X, X_ref)
+    np.testing.assert_array_equal(tris, tris_ref)
+    return X, tris
+
+
+class TestReadObj:
+    def test_written_surface_bit_identical(self, tmp_path):
+        mesh = cs.build_disk_mesh(12, 24)
+        u, v = mesh.vertices[:, 0], mesh.vertices[:, 1]
+        X = np.column_stack([u, v, 2.0 + np.sin(3.0 * u) * v / 7.0])
+        io.write_obj(tmp_path / "s.obj", X, mesh.triangles)
+        X_read, tris = assert_same_as_reference(tmp_path / "s.obj")
+        np.testing.assert_array_equal(X_read, X)
+        np.testing.assert_array_equal(tris, mesh.triangles)
+
+    def test_slash_faces_comments_and_other_records(self, tmp_path):
+        path = tmp_path / "mixed.obj"
+        path.write_text(
+            "# a comment with v 9 9 9 and f 9 9 9\n"
+            "o patch\n"
+            "\n"
+            "v 0 0 1.5\n"
+            "v 1.0e0 0 2 1.0\n"
+            "vt 0.5 0.5\n"
+            "vn 0 0 1\n"
+            "   \n"
+            "v\t0 1 2\n"
+            "v -1 -1 3.25\n"
+            "f 1/1/1 2/2/1 3/3/1\n"
+            "f 1//1 3//1 4//1\n"
+            "s off\n"
+            "f 2/7 4/8 3/9\n"
+            "f 4 3 1 2\n"
+        )
+        X, tris = assert_same_as_reference(path)
+        np.testing.assert_array_equal(
+            X, [[0, 0, 1.5], [1, 0, 2], [0, 1, 2], [-1, -1, 3.25]])
+        np.testing.assert_array_equal(tris, [[0, 1, 2], [0, 2, 3], [1, 3, 2], [3, 2, 0]])
+
+    def test_missing_file_is_typed(self, tmp_path):
+        with pytest.raises(IoError):
+            io.read_obj(tmp_path / "absent.obj")

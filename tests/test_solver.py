@@ -5,7 +5,15 @@ import pytest
 
 import conesurf as cs
 from conesurf.errors import NoConvergence, OutOfRange
-from conesurf.solver import MAX_HALVINGS, SurfaceState, arclength_parametrization
+from conesurf.solver import (
+    LEVEL_REDUCTION,
+    MAX_HALVINGS,
+    SurfaceState,
+    _assemble_rhs,
+    _DiskSystem,
+    _resolve_with_theta,
+    arclength_parametrization,
+)
 
 
 def make_state(mesh, X):
@@ -267,14 +275,55 @@ class TestStallFallback:
         # levels 1 and 2 (2.5 and 5 c_beta) are the two levels of this solve
         done = radial_solve(seed1_cap, 5.0, continuation_steps=2)
         assert exc.iterations - done.iterations <= 400
-        # with damping 0.5 on every step the solve spent 1223 iterations
-        assert exc.iterations <= 700
+        # with damping 0.5 on every step the solve spent 1223 iterations;
+        # with every intermediate level run to update_tol, 618
+        assert exc.iterations <= 400
+        assert exc.contraction is not None and "contraction" in str(exc)
 
     def test_thirty_times_bound_fails_typed_without_warnings(self, seed1_cap):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NoConvergence):
                 radial_solve(seed1_cap, 30.0)
+
+
+class TestInexactContinuation:
+    def test_intermediate_levels_stop_early(self, seed1_cap):
+        st = radial_solve(seed1_cap, 0.9)
+        # 25 iterations when every level before the last ran to update_tol
+        assert sum(st.level_iterations[:-1]) <= 12
+        assert st.iteration_log[-1] <= cs.SolveConfig().update_tol
+        start = 0
+        for n in st.level_iterations[:-1]:
+            run = st.iteration_log[start:start + n]
+            assert run[-1] <= LEVEL_REDUCTION * run[0]
+            start += n
+
+    def test_same_surface_as_one_level(self, seed1_cap):
+        st = radial_solve(seed1_cap, 0.9)
+        one = radial_solve(seed1_cap, 0.9, continuation_steps=1)
+        assert np.max(np.abs(st.X - one.X)) < 1e-10
+
+    def test_level_contraction(self, seed1_cap):
+        st = radial_solve(seed1_cap, 0.9)
+        assert len(st.level_contraction) == len(st.level_iterations)
+        # the contraction grows with the field strength and stays below 1
+        assert all(0.0 < q < 1.0 for q in st.level_contraction)
+        assert st.level_contraction == sorted(st.level_contraction)
+
+    def test_reparametrization_resolve_runs_to_update_tol(self, seed1_cap):
+        curve, mesh, c_beta = seed1_cap
+        field = cs.CurvatureField("radial", c=0.9 * c_beta)
+        config = cs.SolveConfig(max_iters=400)
+        st = cs.solve(mesh, curve, field, config)
+        theta = st.boundary_theta.copy()
+        theta[5] += 0.3 * (theta[6] - theta[5])
+        system = _DiskSystem(mesh)
+        X = _resolve_with_theta(system, curve, field, config, theta, st.X)
+        # one more Picard step from the re-solved iterate barely moves it
+        b, _ = _assemble_rhs(mesh, X, field)
+        X_next = system.solve_dirichlet(curve.points(theta), b[system.interior])
+        assert np.max(np.abs(X_next - X)) <= config.update_tol
 
 
 class TestNoConvergence:
@@ -286,3 +335,10 @@ class TestNoConvergence:
     def test_message_names_level_and_damping(self):
         exc = NoConvergence(12, 3.5, level=2, damping=0.25)
         assert "at continuation level 2 with damping 0.25" in str(exc)
+
+    def test_message_names_contraction(self):
+        exc = NoConvergence(12, 3.5, level=2, damping=0.25, contraction=1.0123)
+        assert exc.contraction == 1.0123
+        assert str(exc) == ("no convergence after 12 iterations at continuation"
+                            " level 2 with damping 0.25, contraction 1.012"
+                            " (residual 3.500e+00)")
