@@ -42,7 +42,6 @@ from .solver import (
     conformality_defect,
     energy_F,
     energy_G,
-    reparametrize_boundary,
     solve,
 )
 from .verifier import (

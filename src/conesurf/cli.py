@@ -163,15 +163,13 @@ def run_verify(config, out_dir, surface_path=None):
     if surface_path is None:
         surface_path = Path(out_dir) / out.get("surface_obj", "surface.obj")
     log_path = Path(out_dir) / out.get("solve_log", "solve.json")
-    X, _ = io.read_obj(surface_path)
+    X, faces = io.read_obj(surface_path)
     log = io.read_json(log_path)
     mesh = build_disk_mesh(int(log["n_r"]), int(log["n_theta"]))
-    if len(X) != len(mesh.vertices):
+    if len(X) != len(mesh.vertices) or not np.array_equal(faces, mesh.triangles):
         raise ConfigInvalid("surface artifact does not match the mesh block")
     state = SurfaceState(
-        mesh=mesh, X=X,
-        boundary_theta=np.asarray(log["boundary_theta"], dtype=float),
-        pinned=np.array([0, mesh.n_theta // 3, 2 * mesh.n_theta // 3]),
+        mesh=mesh, X=X, boundary_theta=np.asarray(log["boundary_theta"], dtype=float),
     )
 
     vblock = config.get("verify", {})

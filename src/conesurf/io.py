@@ -33,25 +33,32 @@ def read_obj(path):
     """(X, triangles) of an OBJ file: the `v` records give X (nv, 3), and
     the first index of each of the first three corners of an `f` record
     (`i`, `i/j` or `i/j/k`) gives the 0-based triangles (nt, 3).  Other
-    records and blank lines are skipped."""
+    records and blank lines are skipped.  A `v` record with fewer than three
+    coordinates, an `f` record with fewer than three corners or a token
+    that is not a number raises IoError."""
     path = Path(path)
     if not path.exists():
         raise IoError(path, f"surface artifact not found: {path}")
     coords, corners = [], []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             parts = line.split()
-            if not parts:
+            if not parts or parts[0] not in ("v", "f"):
                 continue
+            if len(parts) < 4:
+                raise IoError(path, f"{path}:{n}: short {parts[0]!r} record")
             if parts[0] == "v":
                 coords += parts[1:4]
-            elif parts[0] == "f":
+            else:
                 corners += parts[1:4]
     faces = " ".join(corners)
     if "/" in faces:
         corners = _CORNER_TAIL.sub("", faces).split()
-    X = np.array(coords, dtype=float).reshape(-1, 3)
-    return X, np.array(corners, dtype=int).reshape(-1, 3) - 1
+    try:
+        X = np.array(coords, dtype=float).reshape(-1, 3)
+        return X, np.array(corners, dtype=int).reshape(-1, 3) - 1
+    except ValueError as exc:
+        raise IoError(path, f"{path}: malformed surface artifact: {exc}") from exc
 
 
 def write_json(path, payload):

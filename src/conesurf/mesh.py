@@ -15,6 +15,9 @@ from .errors import OutOfRange
 # bounds the fit's temporaries to about 1 MB whatever the mesh size.
 FIT_BATCH = 512
 
+# local vertex pairs (a, b) of a triangle, in the order of assembly
+_PAIRS = [(a, b) for a in range(3) for b in range(3)]
+
 
 class DiskMesh:
     def __init__(self, n_r, n_theta):
@@ -50,7 +53,6 @@ class DiskMesh:
         self._setup_geometry()
         self._setup_matrices()
         self._setup_triangle_operators()
-        self._adjacency = None
         self._d2 = None
 
     # -- geometry ---------------------------------------------------------
@@ -77,29 +79,29 @@ class DiskMesh:
         seg = 0.5 * (2.0 * np.pi / self.n_theta - np.sin(2.0 * np.pi / self.n_theta))
         self.quad_weights[self.is_boundary[self.triangles].sum(axis=1) == 2] += seg
 
-        self.centroids = p.mean(axis=1)
-
     def _setup_matrices(self):
-        nv = len(self.vertices)
-        tris = self.triangles
-        rows, cols, k_vals, m_vals = [], [], [], []
-        for a in range(3):
-            for b in range(3):
-                rows.append(tris[:, a])
-                cols.append(tris[:, b])
-                gg = np.einsum("ij,ij->i", self.grad_coeffs[:, a], self.grad_coeffs[:, b])
-                k_vals.append(self.areas * gg)
-                m_vals.append(self.areas / 12.0 * (2.0 if a == b else 1.0))
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        self.stiffness = sparse.csr_matrix(
-            (np.concatenate(k_vals), (rows, cols)), shape=(nv, nv)
+        g = self.grad_coeffs
+        self.stiffness = self._assemble(
+            [self.areas * np.einsum("ij,ij->i", g[:, a], g[:, b]) for a, b in _PAIRS]
         )
-        m_vals = [np.broadcast_to(v, tris.shape[0]) for v in m_vals]
-        self.mass = sparse.csr_matrix(
-            (np.concatenate(m_vals), (rows, cols)), shape=(nv, nv)
-        )
+        self.mass = self.weighted_mass(1.0)
         self.lumped_mass = np.asarray(self.mass.sum(axis=1)).ravel()
+
+    def _assemble(self, local):
+        """(nv x nv) CSR matrix summing local[k][t] into the entry of the
+        vertex pair _PAIRS[k] of triangle t."""
+        tris = self.triangles
+        rows = np.concatenate([tris[:, a] for a, _ in _PAIRS])
+        cols = np.concatenate([tris[:, b] for _, b in _PAIRS])
+        nv = len(self.vertices)
+        return sparse.csr_matrix((np.concatenate(local), (rows, cols)), shape=(nv, nv))
+
+    def weighted_mass(self, tri_weight):
+        """P1 mass matrix of int w phi_a phi_b for a weight w that is
+        constant on each triangle (a scalar or an (nt,) array): w area / 12
+        per vertex pair, doubled on the diagonal."""
+        w = np.broadcast_to(tri_weight * self.areas / 12.0, len(self.triangles))
+        return self._assemble([w * (2.0 if a == b else 1.0) for a, b in _PAIRS])
 
     def _setup_triangle_operators(self):
         """Sparse gather and scatter between vertices and triangles:
@@ -136,14 +138,6 @@ class DiskMesh:
         w = self.lumped_mass.reshape((-1,) + (1,) * (tri_values.ndim - 1))
         return (self.load_op @ tri_values) / w
 
-    def vertex_laplacian(self, values):
-        """Discrete Laplacian -(K f) / lumped mass; valid at interior rows."""
-        v = np.asarray(values, dtype=float)
-        kv = self.stiffness @ v
-        if v.ndim == 1:
-            return -kv / self.lumped_mass
-        return -kv / self.lumped_mass[:, None]
-
     def _neighbor_pattern(self):
         """Vertex adjacency from the triangle edges: a symmetric CSR
         pattern with sorted indices and an empty diagonal."""
@@ -156,13 +150,6 @@ class DiskMesh:
         )
         pattern.sum_duplicates()
         return pattern
-
-    def adjacency(self):
-        """Sorted neighbor indices of every vertex, one array per vertex."""
-        if self._adjacency is None:
-            pattern = self._neighbor_pattern()
-            self._adjacency = np.split(pattern.indices.astype(int), pattern.indptr[1:-1])
-        return self._adjacency
 
     def second_derivative_operator(self):
         """Sparse (3 nv x nv) operator D2 with (D2 @ f)[3 i + c] the c-th of

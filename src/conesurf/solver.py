@@ -18,6 +18,11 @@ max(update_tol, LEVEL_REDUCTION * the first update of that run): an iterate
 left at that fraction is off by about LEVEL_REDUCTION * q / (1 - q) of the
 jump between levels (q the contraction per step), which the next level's
 first steps remove.
+
+The boundary ring is placed at equal arclength along Gamma and stays
+there.  F is not minimized over the monotone reparametrizations of the
+boundary, so the discrete surface is not conformal; solve.json records its
+conformality_defect and the gap energy_F - energy_G.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -42,7 +47,6 @@ class SolveConfig:
     residual_tol: float = 1e-8
     update_tol: float = 1e-11
     continuation_steps: int = 4
-    reparam_sweeps: int = 2
 
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
@@ -58,7 +62,6 @@ class SurfaceState:
     mesh: DiskMesh
     X: np.ndarray                    # (nv, 3) vertex positions
     boundary_theta: np.ndarray       # Gamma parameter per boundary vertex
-    pinned: np.ndarray               # indices into the boundary ring
     iterations: int = 0
     residual: float = np.nan
     iteration_log: list = dc_field(default_factory=list)
@@ -70,11 +73,6 @@ class SurfaceState:
         """(X_u, X_v) per triangle, each (nt, 3)."""
         g = self.mesh.triangle_gradients(self.X)  # (nt, 2, 3)
         return g[:, 0, :], g[:, 1, :]
-
-    def conformal_factors(self):
-        """E = |X_u|^2 per triangle."""
-        xu, _ = self.triangle_derivatives()
-        return np.einsum("ij,ij->i", xu, xu)
 
 
 EFLOOR_REL = 1e-14
@@ -89,10 +87,6 @@ def conformality_defect(state):
     f = np.einsum("ij,ij->i", xu, xv)
     floor = max(EFLOOR_REL * np.median(e), 1e-300)
     return float(np.max((np.abs(e - g) + 2.0 * np.abs(f)) / np.maximum(e, floor)))
-
-
-def _wedge(xu, xv):
-    return np.cross(xu, xv)
 
 
 def energy_F(state, field):
@@ -111,7 +105,7 @@ def energy_G(state, field):
     exactly when the map is conformal."""
     mesh = state.mesh
     xu, xv = state.triangle_derivatives()
-    area_term = np.sum(mesh.quad_weights * np.linalg.norm(_wedge(xu, xv), axis=1))
+    area_term = np.sum(mesh.quad_weights * np.linalg.norm(np.cross(xu, xv), axis=1))
     return float(area_term + 2.0 * _q_term(state, field, xu, xv))
 
 
@@ -119,7 +113,7 @@ def _q_term(state, field, xu, xv):
     if getattr(field, "family", None) == "zero":
         return 0.0
     mesh = state.mesh
-    w = _wedge(xu, xv)
+    w = np.cross(xu, xv)
     centroids = mesh.centroid_op @ state.X
     total = 0.0
     for t in range(len(mesh.triangles)):
@@ -156,7 +150,7 @@ def _assemble_rhs(mesh, X, field):
     """Load vector of -2 H(X) X_u ^ X_v (weak form moves the sign), and
     max |2 H(X) X_u ^ X_v| over the triangle centroids."""
     g = mesh.triangle_gradients(X)
-    w = _wedge(g[:, 0, :], g[:, 1, :])
+    w = np.cross(g[:, 0, :], g[:, 1, :])
     centroids = mesh.centroid_op @ X
     r = np.linalg.norm(centroids, axis=1)
     if np.any(~np.isfinite(r)):
@@ -192,9 +186,9 @@ def arclength_parametrization(curve, n_boundary, n_fine=4096):
 def _relax(system, field, X, boundary_values, damping, config, log, final):
     """Damped Picard steps from X, appending each update to log, until the
     update meets the level's tolerance, the steps stall or config.max_iters
-    run out.  The tolerance is config.update_tol on the final level and
-    max(update_tol, LEVEL_REDUCTION * first update) before it.  Returns
-    (X, stalled)."""
+    run out.  The tolerance is config.update_tol when final (the last
+    continuation level) and max(update_tol, LEVEL_REDUCTION * first update)
+    otherwise.  Returns (X, stalled)."""
     mesh = system.mesh
     start = len(log)
     tol = config.update_tol
@@ -228,12 +222,13 @@ def _contraction(updates):
     return float(q) if np.isfinite(q) else np.inf
 
 
-def _picard(system, field, X0, boundary_values, config, log, level=None, final=True):
-    """Picard iteration for one field strength from X0, appending every
-    update (restarts included) to log.  A stalled run restarts from X0 with
-    the damping halved; returns (X, damping, contraction) of the first run
-    that does not stall and raises NoConvergence after MAX_HALVINGS
-    halvings."""
+def _picard(system, field, X0, boundary_values, config, log, level, final):
+    """Picard iteration for continuation level `level` (1-based) from X0,
+    appending every update (restarts included) to log; `final` marks the
+    last level, the only one driven to config.update_tol.  A stalled run
+    restarts from X0 with the damping halved; returns (X, damping,
+    contraction) of the first run that does not stall and raises
+    NoConvergence naming the level after MAX_HALVINGS halvings."""
     for halvings in range(MAX_HALVINGS + 1):
         damping = config.damping * 0.5**halvings
         start = len(log)
@@ -254,20 +249,17 @@ def _failure_residual(mesh, X, field):
     return solve_residual(mesh, X, field)[0]
 
 
-def solve(mesh, curve, field, config=None, boundary_theta=None):
+def solve(mesh, curve, field, config=None):
     """Converged SurfaceState for the given curve and field.
 
-    The initial guess is the harmonic extension of the boundary data (the
+    The boundary ring is placed at equal arclength along the curve.  The
+    initial guess is the harmonic extension of the boundary data (the
     zero-field solve); the field strength is then ramped up over
     config.continuation_steps levels of Picard iteration.
     """
     if config is None:
         config = SolveConfig()
-    n_b = mesh.n_theta
-    if boundary_theta is None:
-        boundary_theta = arclength_parametrization(curve, n_b)
-    boundary_theta = np.asarray(boundary_theta, dtype=float)
-    pinned = np.array([0, n_b // 3, 2 * n_b // 3], dtype=int)
+    boundary_theta = arclength_parametrization(curve, mesh.n_theta)
 
     system = _DiskSystem(mesh)
     boundary_values = curve.points(boundary_theta)
@@ -287,7 +279,7 @@ def solve(mesh, curve, field, config=None, boundary_theta=None):
 
     residual, scale = solve_residual(mesh, X, field)
     state = SurfaceState(
-        mesh=mesh, X=X, boundary_theta=boundary_theta, pinned=pinned,
+        mesh=mesh, X=X, boundary_theta=boundary_theta,
         iterations=len(log), residual=residual, iteration_log=log,
         level_iterations=level_iterations, level_damping=level_damping,
         level_contraction=level_contraction,
@@ -300,65 +292,3 @@ def solve(mesh, curve, field, config=None, boundary_theta=None):
             contraction=level_contraction[-1] if level_contraction else None,
         )
     return state
-
-
-def _resolve_with_theta(system, curve, field, config, theta, X_warm):
-    boundary_values = curve.points(theta)
-    if getattr(field, "family", None) == "zero":
-        return system.solve_dirichlet(boundary_values)
-    X = X_warm.copy()
-    X[system.boundary] = boundary_values
-    X, _, _ = _picard(system, field, X, boundary_values, config, [])
-    return X
-
-
-def reparametrize_boundary(state, curve, field, config=None, sweeps=None):
-    """Coordinate descent over the free boundary parameters (three pinned),
-    re-solving per move and accepting only defect-decreasing moves.
-    Returns a new SurfaceState; theta stays strictly monotone."""
-    if config is None:
-        config = SolveConfig()
-    if sweeps is None:
-        sweeps = config.reparam_sweeps
-    mesh = state.mesh
-    system = _DiskSystem(mesh)
-    theta = state.boundary_theta.copy()
-    X = state.X.copy()
-    n_b = len(theta)
-    pinned = set(int(i) for i in state.pinned)
-    defect = conformality_defect(state)
-
-    for _ in range(sweeps):
-        improved = False
-        for j in range(n_b):
-            if j in pinned:
-                continue
-            prev_t = theta[(j - 1) % n_b]
-            next_t = theta[(j + 1) % n_b]
-            gap_prev = (theta[j] - prev_t) % (2.0 * np.pi)
-            gap_next = (next_t - theta[j]) % (2.0 * np.pi)
-            for frac in (0.4, 0.2, 0.1, 0.04, 0.01):
-                accepted = False
-                for step in (frac * gap_next, -frac * gap_prev):
-                    trial = theta.copy()
-                    trial[j] = theta[j] + step
-                    X_t = _resolve_with_theta(system, curve, field, config, trial, X)
-                    cand = SurfaceState(
-                        mesh=mesh, X=X_t, boundary_theta=trial, pinned=state.pinned
-                    )
-                    d = conformality_defect(cand)
-                    if d < defect:
-                        theta, X, defect = trial, X_t, d
-                        improved = accepted = True
-                        break
-                if accepted:
-                    break
-        if not improved:
-            break
-
-    residual, _ = solve_residual(mesh, X, field)
-    return SurfaceState(
-        mesh=mesh, X=X, boundary_theta=theta, pinned=state.pinned,
-        iterations=state.iterations, residual=residual,
-        iteration_log=list(state.iteration_log),
-    )

@@ -5,7 +5,6 @@ normal positivity, projection degree, and radial-graph extraction."""
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from .errors import (
@@ -114,25 +113,17 @@ def stability_eigenvalue(state, density, tol=0.0):
     interior = mesh.interior
 
     # mass matrix weighted by p (p interpolated as triangle averages)
-    tris = mesh.triangles
-    p_tri = p[tris].mean(axis=1)
-    rows, cols, vals = [], [], []
-    for a in range(3):
-        for b in range(3):
-            rows.append(tris[:, a])
-            cols.append(tris[:, b])
-            vals.append(p_tri * mesh.areas / 12.0 * (2.0 if a == b else 1.0))
-    nv = len(mesh.vertices)
-    Mp = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nv, nv),
-    )
+    Mp = mesh.weighted_mass(p[mesh.triangles].mean(axis=1))
 
     A = (mesh.stiffness - 2.0 * Mp)[np.ix_(interior, interior)].tocsc()
     M = mesh.mass[np.ix_(interior, interior)].tocsc()
     sigma = -2.0 * float(np.max(np.abs(p))) - 10.0
+    # a fixed start vector makes the result reproducible; the ground state
+    # of the form is positive, so the constant is not orthogonal to it
+    v0 = np.ones(len(interior))
     try:
-        vals = eigsh(A, k=1, M=M, sigma=sigma, which="LM", return_eigenvectors=False)
+        vals = eigsh(A, k=1, M=M, sigma=sigma, which="LM", v0=v0,
+                     return_eigenvectors=False)
     except Exception as exc:  # arpack failures surface as RuntimeError
         raise EigensolverFailure(str(exc)) from exc
     return float(vals[0])

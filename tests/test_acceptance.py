@@ -156,7 +156,6 @@ def test_criterion_6_stability_oracle():
         state = SurfaceState(
             mesh=mesh, X=X,
             boundary_theta=2 * np.pi * np.arange(n_b) / n_b,
-            pinned=np.array([0, n_b // 3, 2 * n_b // 3]),
         )
         mu0 = stability_eigenvalue(state, np.zeros(len(mesh.vertices)))
         assert abs(mu0 - J01_SQUARED) / J01_SQUARED <= 0.02
@@ -214,7 +213,7 @@ def test_criterion_8_designed_failures(endtoend):
         # orientation reversal flips the projection degree and fails the report
         mirrored = SurfaceState(
             mesh=mesh, X=state.X * np.array([1.0, -1.0, 1.0]),
-            boundary_theta=state.boundary_theta, pinned=state.pinned,
+            boundary_theta=state.boundary_theta,
         )
         assert projection_degree(mirrored) == -1
         report = cs.verify_surface(mirrored, field, BETA)
@@ -235,6 +234,6 @@ def test_criterion_8_designed_failures(endtoend):
         )
         stretched = SurfaceState(
             mesh=mesh, X=X,
-            boundary_theta=state.boundary_theta, pinned=state.pinned,
+            boundary_theta=state.boundary_theta,
         )
         assert cs.conformality_defect(stretched) == pytest.approx(0.75, abs=1e-12)

@@ -119,6 +119,30 @@ class TestSolveAndVerify:
         assert (a / "solve.json").read_bytes() == (b / "solve.json").read_bytes()
         assert (a / "surface.obj").read_bytes() == (b / "surface.obj").read_bytes()
 
+    def test_verify_is_deterministic(self, tmp_path):
+        cfg_path = write_config(tmp_path, solve_config())
+        cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)])
+        reports = []
+        for _ in range(2):
+            assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+            reports.append((tmp_path / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_verify_rejects_faces_not_of_the_mesh(self, tmp_path):
+        cfg_path = write_config(tmp_path, solve_config())
+        cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)])
+        X, tris = io.read_obj(tmp_path / "surface.obj")
+        io.write_obj(tmp_path / "surface.obj", X, tris[::-1])
+        assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+
+    def test_verify_rejects_malformed_surface(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, solve_config())
+        cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)])
+        text = (tmp_path / "surface.obj").read_text()
+        (tmp_path / "surface.obj").write_text("v 1 2\n" + text)
+        assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "short 'v' record" in capsys.readouterr().err
+
 
 class TestCheckDomain:
     def test_pass(self, tmp_path):
@@ -198,8 +222,10 @@ class TestExitCodes:
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 3
 
-    def test_unread_solver_key_rejected(self, tmp_path):
-        cfg = solve_config(solver={"max_iters": 400, "reparam_enabled": True})
+    @pytest.mark.parametrize("key,value", [("reparam_enabled", True), ("reparam_sweeps", 7)],
+                             ids=["reparam_enabled", "reparam_sweeps"])
+    def test_unread_solver_key_rejected(self, tmp_path, key, value):
+        cfg = solve_config(solver={"max_iters": 400, key: value})
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 2
 

@@ -64,6 +64,20 @@ class TestReadObj:
             X, [[0, 0, 1.5], [1, 0, 2], [0, 1, 2], [-1, -1, 3.25]])
         np.testing.assert_array_equal(tris, [[0, 1, 2], [0, 2, 3], [1, 3, 2], [3, 2, 0]])
 
+    @pytest.mark.parametrize("text", [
+        "v 1 2\nv 0 0 0\nv 1 1 1\nf 1 2 3\n",     # short vertex record
+        "v 1 2 3\nv 0 0 0\nv 1 1 1\nf 1 2\n",     # short face record
+        "v 1 2 x\nv 0 0 0\nv 1 1 1\nf 1 2 3\n",   # non-numeric coordinate
+        "v 1 2 3\nv 0 0 0\nv 1 1 1\nf 1 2 a\n",   # non-numeric corner
+        "v 1 2 3\nv 0 0 0\nv 1 1 1\nf 1 2 3.5\n", # non-integer corner
+        "v 1 2 3\nv 0 0 0\nv 1 1 1\nf /1 2 3\n",  # corner without a vertex
+    ])
+    def test_malformed_file_is_typed(self, tmp_path, text):
+        path = tmp_path / "bad.obj"
+        path.write_text(text)
+        with pytest.raises(IoError):
+            io.read_obj(path)
+
     def test_missing_file_is_typed(self, tmp_path):
         with pytest.raises(IoError):
             io.read_obj(tmp_path / "absent.obj")

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,9 +10,6 @@ from conesurf.solver import (
     LEVEL_REDUCTION,
     MAX_HALVINGS,
     SurfaceState,
-    _assemble_rhs,
-    _DiskSystem,
-    _resolve_with_theta,
     arclength_parametrization,
 )
 
@@ -22,7 +20,6 @@ def make_state(mesh, X):
         mesh=mesh,
         X=np.asarray(X, dtype=float),
         boundary_theta=2 * np.pi * np.arange(n_b) / n_b,
-        pinned=np.array([0, n_b // 3, 2 * n_b // 3]),
     )
 
 
@@ -168,45 +165,6 @@ class TestCapSolve:
             cs.solve(mesh, curve, field, cfg)
 
 
-class TestReparametrization:
-    def test_descent_from_distorted_theta(self, flat_disk_curve):
-        curve, _ = flat_disk_curve
-        mesh = cs.build_disk_mesh(10, 24)
-        n_b = mesh.n_theta
-        theta0 = 2 * np.pi * np.arange(n_b) / n_b
-        distorted = theta0 + 0.3 * np.sin(theta0)
-        zero = cs.CurvatureField("zero")
-        st = cs.solve(mesh, curve, zero, boundary_theta=distorted)
-        d0 = cs.conformality_defect(st)
-        assert d0 > 0.1
-        st2 = cs.reparametrize_boundary(st, curve, zero, sweeps=4)
-        d1 = cs.conformality_defect(st2)
-        assert d1 < d0
-
-    def test_pinned_thetas_fixed(self, flat_disk_curve):
-        curve, _ = flat_disk_curve
-        mesh = cs.build_disk_mesh(10, 24)
-        n_b = mesh.n_theta
-        theta0 = 2 * np.pi * np.arange(n_b) / n_b
-        distorted = theta0 + 0.2 * np.sin(2 * theta0)
-        zero = cs.CurvatureField("zero")
-        st = cs.solve(mesh, curve, zero, boundary_theta=distorted)
-        st2 = cs.reparametrize_boundary(st, curve, zero, sweeps=2)
-        for j in st.pinned:
-            assert st2.boundary_theta[j] == st.boundary_theta[j]
-
-    def test_theta_stays_monotone(self, flat_disk_curve):
-        curve, _ = flat_disk_curve
-        mesh = cs.build_disk_mesh(10, 24)
-        theta0 = 2 * np.pi * np.arange(mesh.n_theta) / mesh.n_theta
-        distorted = theta0 + 0.3 * np.sin(theta0)
-        zero = cs.CurvatureField("zero")
-        st = cs.reparametrize_boundary(
-            cs.solve(mesh, curve, zero, boundary_theta=distorted), curve, zero
-        )
-        assert np.all(np.diff(st.boundary_theta) > 0)
-
-
 class TestEndToEndSolve:
     def test_converges_and_stays_in_cone(self, endtoend_state, endtoend_scenario):
         beta = endtoend_scenario[0]
@@ -311,20 +269,6 @@ class TestInexactContinuation:
         assert all(0.0 < q < 1.0 for q in st.level_contraction)
         assert st.level_contraction == sorted(st.level_contraction)
 
-    def test_reparametrization_resolve_runs_to_update_tol(self, seed1_cap):
-        curve, mesh, c_beta = seed1_cap
-        field = cs.CurvatureField("radial", c=0.9 * c_beta)
-        config = cs.SolveConfig(max_iters=400)
-        st = cs.solve(mesh, curve, field, config)
-        theta = st.boundary_theta.copy()
-        theta[5] += 0.3 * (theta[6] - theta[5])
-        system = _DiskSystem(mesh)
-        X = _resolve_with_theta(system, curve, field, config, theta, st.X)
-        # one more Picard step from the re-solved iterate barely moves it
-        b, _ = _assemble_rhs(mesh, X, field)
-        X_next = system.solve_dirichlet(curve.points(theta), b[system.interior])
-        assert np.max(np.abs(X_next - X)) <= config.update_tol
-
 
 class TestNoConvergence:
     def test_positional_fields(self):
@@ -342,3 +286,32 @@ class TestNoConvergence:
         assert str(exc) == ("no convergence after 12 iterations at continuation"
                             " level 2 with damping 0.25, contraction 1.012"
                             " (residual 3.500e+00)")
+
+
+# a non-default value per SolveConfig field; a field without an entry fails
+NON_DEFAULT = {
+    "max_iters": 3,
+    "damping": 0.5,
+    "residual_tol": 1e-30,
+    "update_tol": 1e-6,
+    "continuation_steps": 2,
+}
+
+
+def solve_outcome(seed1_cap, **config):
+    """What a solve at 0.9 c_beta leaves to observe: the iteration log and
+    the level counts, or the NoConvergence it raised."""
+    curve, mesh, c_beta = seed1_cap
+    field = cs.CurvatureField("radial", c=0.9 * c_beta)
+    try:
+        st = cs.solve(mesh, curve, field, cs.SolveConfig(**config))
+    except NoConvergence as exc:
+        return "NoConvergence", exc.iterations, exc.level
+    return st.iteration_log, st.level_iterations
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(cs.SolveConfig)])
+def test_every_config_field_is_read(seed1_cap, name):
+    value = NON_DEFAULT[name]
+    assert value != getattr(cs.SolveConfig(), name)
+    assert solve_outcome(seed1_cap, **{name: value}) != solve_outcome(seed1_cap)
