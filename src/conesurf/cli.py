@@ -36,6 +36,7 @@ from .errors import (
     ConfigInvalid,
     IoError,
     NoConvergence,
+    OutOfRange,
     SignChange,
 )
 from .fields import CurvatureField
@@ -97,7 +98,13 @@ def parse_field(config):
 
 def parse_mesh(config):
     block = config.get("mesh", {})
-    return int(block.get("n_r", 24)), int(block.get("n_theta", 48))
+    if not isinstance(block, dict):
+        raise ConfigInvalid("config key 'mesh' has wrong type")
+    sizes = block.get("n_r", 24), block.get("n_theta", 48)
+    for key, value in zip(("n_r", "n_theta"), sizes):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigInvalid(f"mesh key {key!r} must be an integer, got {value!r}")
+    return sizes
 
 
 def parse_solver(config):
@@ -129,7 +136,10 @@ def run_solve(config, out_dir):
     n_r, n_theta = parse_mesh(config)
     solve_cfg = parse_solver(config)
     curve = build_curve(boundary, g, beta)
-    mesh = build_disk_mesh(n_r, n_theta)
+    try:
+        mesh = build_disk_mesh(n_r, n_theta)
+    except OutOfRange as exc:
+        raise ConfigInvalid(f"bad mesh block: {exc}") from exc
     state = solve(mesh, curve, field, solve_cfg)
 
     out = config.get("output", {})

@@ -11,6 +11,11 @@ from .errors import IoError
 
 _CORNER_TAIL = re.compile(r"/\S*")   # texture/normal indices of an OBJ corner
 
+# OBJ records per format call in write_obj.  One call per record block
+# would hold every coordinate of a large mesh as a Python object at once,
+# and the process keeps that memory after it is freed.
+OBJ_CHUNK = 1024
+
 
 def _open_out(path):
     path = Path(path)
@@ -22,11 +27,13 @@ def _open_out(path):
 def write_obj(path, vertices, triangles):
     """OBJ with `v x y z` and 1-based CCW `f i j k` records."""
     path = _open_out(path)
+    X = np.asarray(vertices, dtype=float)
+    T = np.asarray(triangles, dtype=int) + 1
     with open(path, "w") as fh:
-        for v in np.asarray(vertices, dtype=float):
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for t in np.asarray(triangles, dtype=int):
-            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+        for fmt, rows in (("v %.17g %.17g %.17g\n", X), ("f %d %d %d\n", T)):
+            for start in range(0, len(rows), OBJ_CHUNK):
+                block = rows[start:start + OBJ_CHUNK]
+                fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_obj(path):

@@ -3,17 +3,16 @@ operators on it.
 
 Vertex layout: index 0 is the center; ring i (1..n_r) holds n_theta vertices
 at radius i/n_r, so the outermost ring lies on the unit circle and is the
-(CCW-ordered) boundary.  All triangles are positively oriented.
+(CCW-ordered) boundary.  All triangles are positively oriented.  Vertices
+and triangles are invariant under rotation by 2 pi / n_theta (vertex j of
+a ring goes to vertex j + 1), which the second-derivative operator uses to
+solve one fit per ring.
 """
 
 import numpy as np
 from scipy import sparse
 
 from .errors import OutOfRange
-
-# Vertices per batched least-squares fit in second_derivative_operator;
-# bounds the fit's temporaries to about 1 MB whatever the mesh size.
-FIT_BATCH = 512
 
 # local vertex pairs (a, b) of a triangle, in the order of assembly
 _PAIRS = [(a, b) for a in range(3) for b in range(3)]
@@ -157,33 +156,54 @@ class DiskMesh:
         over the two-ring neighborhood.  Built on first use and cached.
 
         The neighborhood comes from the triangle connectivity (the stiffness
-        matrix can hold exact zeros).  The fit's pseudo-inverse rows are
-        batched over the vertices with the same neighborhood size."""
+        matrix can hold exact zeros).  The polar layout is invariant under
+        rotation by 2 pi / n_theta, so vertex j of a ring has the two-ring of
+        the ring's vertex 0 rotated by phi_j = 2 pi j / n_theta, with ring
+        indices shifted by j.  One fit per ring gives H_loc = (f_uu, f_uv,
+        f_vv) in the frame of vertex 0, and vertex j's rows are those of
+        R(phi_j) H_loc R(phi_j)^T.  The rows are written straight into CSR
+        arrays."""
         if self._d2 is None:
+            n_r, n_theta = self.n_r, self.n_theta
             nv = len(self.vertices)
+            heads = np.concatenate([[0], 1 + n_theta * np.arange(n_r)])
+            copies = np.concatenate([[1], np.full(n_r, n_theta)])
             adj = self._neighbor_pattern()
-            ring2 = (adj @ adj + adj).tocsr()
-            ring2.setdiag(0)  # every vertex has a neighbor: no new entries
-            ring2.eliminate_zeros()
+            near = adj[heads]
+            # each head's two-ring and the head itself (it neighbors a neighbor)
+            ring2 = near @ adj + near
             ring2.sort_indices()
-            sizes = np.diff(ring2.indptr)
             # row 3 i + c holds vertex i's two-ring, then i itself
-            indptr = np.concatenate([[0], np.cumsum(np.repeat(sizes + 1, 3))])
-            indices = np.empty(indptr[-1], dtype=int)
+            indptr = np.zeros(3 * nv + 1, dtype=np.int32)
+            np.cumsum(np.repeat(np.diff(ring2.indptr), 3 * copies), out=indptr[1:])
+            indices = np.empty(indptr[-1], dtype=np.int32)
             data = np.empty(indptr[-1])
-            for k in np.unique(sizes):
-                same = np.nonzero(sizes == k)[0]
-                for start in range(0, len(same), FIT_BATCH):
-                    center = same[start:start + FIT_BATCH]
-                    idx = ring2.indices[ring2.indptr[center][:, None] + np.arange(k)]
-                    d = self.vertices[idx] - self.vertices[center][:, None, :]
-                    du, dv = d[..., 0], d[..., 1]
-                    A = np.stack([np.ones_like(du), du, dv,
-                                  0.5 * du**2, du * dv, 0.5 * dv**2], axis=-1)
-                    W = np.linalg.pinv(A)[:, 3:, :]  # (g, 3, k)
-                    pos = indptr[3 * center[:, None] + np.arange(3)][:, :, None] + np.arange(k + 1)
-                    data[pos] = np.concatenate([W, -W.sum(axis=-1, keepdims=True)], axis=-1)
-                    indices[pos] = np.concatenate([idx, center[:, None]], axis=1)[:, None, :]
+
+            ang = 2.0 * np.pi * np.arange(n_theta) / n_theta
+            c, s = np.cos(ang), np.sin(ang)
+            rot = np.stack([  # (n_theta, 3, 3): (uu, uv, vv) of H_loc -> of H
+                np.stack([c * c, -2.0 * c * s, s * s], axis=-1),
+                np.stack([c * s, c * c - s * s, -c * s], axis=-1),
+                np.stack([s * s, 2.0 * c * s, c * c], axis=-1),
+            ], axis=1)
+            for r, (head, n) in enumerate(zip(heads, copies)):
+                idx = ring2.indices[ring2.indptr[r]:ring2.indptr[r + 1]]
+                idx = idx[idx != head]
+                d = self.vertices[idx] - self.vertices[head]
+                du, dv = d[:, 0], d[:, 1]
+                A = np.stack([np.ones_like(du), du, dv,
+                              0.5 * du**2, du * dv, 0.5 * dv**2], axis=-1)
+                W = np.linalg.pinv(A)[3:]  # (3, k)
+                W = np.concatenate([W, -W.sum(axis=1, keepdims=True)], axis=1)
+                cols = np.append(idx, head)
+                # ring and angle of each column, shifted by j for vertex j of
+                # the ring; the center (ring 0) stays put
+                ring, angle = np.divmod(cols - 1, n_theta)
+                shift = np.arange(n)[:, None]
+                moved = np.where(cols == 0, 0, 1 + ring * n_theta + (angle + shift) % n_theta)
+                block = slice(indptr[3 * head], indptr[3 * (head + n)])
+                data[block] = (rot[:n] @ W).ravel()
+                indices[block] = np.repeat(moved, 3, axis=0).ravel()
             self._d2 = sparse.csr_matrix((data, indices, indptr), shape=(3 * nv, nv))
         return self._d2
 

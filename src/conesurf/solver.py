@@ -25,6 +25,7 @@ boundary, so the discrete surface is not conformal; solve.json records its
 conformality_defect and the gap energy_F - energy_G.
 """
 
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -49,9 +50,19 @@ class SolveConfig:
     continuation_steps: int = 4
 
     def __post_init__(self):
+        for name, kind, what in (
+            ("max_iters", numbers.Integral, "an integer"),
+            ("continuation_steps", numbers.Integral, "an integer"),
+            ("damping", numbers.Real, "a real number"),
+            ("residual_tol", numbers.Real, "a real number"),
+            ("update_tol", numbers.Real, "a real number"),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise OutOfRange(f"{name} must be {what}, got {value!r}")
         if not (0.0 < self.damping <= 1.0):
             raise OutOfRange("damping must be in (0, 1]")
-        if self.residual_tol <= 0 or self.update_tol <= 0:
+        if not (self.residual_tol > 0 and self.update_tol > 0):
             raise OutOfRange("tolerances must be positive")
         if self.continuation_steps < 1:
             raise OutOfRange("continuation_steps must be >= 1")

@@ -229,6 +229,38 @@ class TestExitCodes:
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("key,value", [
+        ("max_iters", 2.5), ("max_iters", True), ("max_iters", "3"),
+        ("continuation_steps", 2.5), ("continuation_steps", True),
+        ("continuation_steps", "3"),
+        ("damping", True), ("damping", "0.5"), ("residual_tol", "1e-8"),
+        ("update_tol", False),
+    ])
+    def test_mistyped_solver_key_rejected(self, tmp_path, capsys, key, value):
+        cfg = solve_config(solver={"max_iters": 400, key: value})
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "surface.obj").exists()
+
+    @pytest.mark.parametrize("mesh", [{"n_r": 2, "n_theta": 24}, {"n_r": 12, "n_theta": 4}],
+                             ids=["n_r", "n_theta"])
+    def test_mesh_below_minimum_is_config_error(self, tmp_path, capsys, mesh):
+        cfg_path = write_config(tmp_path, solve_config(mesh=mesh))
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "mesh" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mesh,key", [({"n_r": 12.7, "n_theta": 24}, "n_r"),
+                                          ({"n_r": 12, "n_theta": "24"}, "n_theta"),
+                                          ({"n_r": True, "n_theta": 24}, "n_r"),
+                                          (12, "mesh")],
+                             ids=["float", "string", "bool", "not_a_block"])
+    def test_non_integer_mesh_size_rejected(self, tmp_path, capsys, mesh, key):
+        cfg_path = write_config(tmp_path, solve_config(mesh=mesh))
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "surface.obj").exists()
+
     def test_verify_non_beta_convex_domain(self, tmp_path):
         cfg_path = write_config(tmp_path, solve_config())
         cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)])

@@ -21,6 +21,15 @@ def read_obj_per_line(path):
     return np.asarray(verts, dtype=float), np.asarray(tris, dtype=int)
 
 
+def write_obj_per_line(path, vertices, triangles):
+    """Reference writer: one f-string per record."""
+    with open(path, "w") as fh:
+        for v in np.asarray(vertices, dtype=float):
+            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        for t in np.asarray(triangles, dtype=int):
+            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+
+
 def assert_same_as_reference(path):
     X, tris = io.read_obj(path)
     X_ref, tris_ref = read_obj_per_line(path)
@@ -81,3 +90,31 @@ class TestReadObj:
     def test_missing_file_is_typed(self, tmp_path):
         with pytest.raises(IoError):
             io.read_obj(tmp_path / "absent.obj")
+
+
+class TestWriteObj:
+    def assert_same_bytes(self, tmp_path, X, tris):
+        io.write_obj(tmp_path / "block.obj", X, tris)
+        write_obj_per_line(tmp_path / "line.obj", X, tris)
+        assert (tmp_path / "block.obj").read_bytes() == (tmp_path / "line.obj").read_bytes()
+
+    def test_extreme_values(self, tmp_path):
+        X = np.array([[-0.0, 1e-300, 1e300], [0.1, -1e-300, -1e300],
+                      [np.pi, 5e-324, 1.7976931348623157e308]])
+        self.assert_same_bytes(tmp_path, X, np.array([[0, 1, 2]]))
+        assert (tmp_path / "block.obj").read_text().startswith("v -0 1e-300 ")
+
+    def test_chunk_boundaries(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "OBJ_CHUNK", 2)
+        X = np.arange(15.0).reshape(5, 3) / 7.0
+        self.assert_same_bytes(tmp_path, X, np.array([[0, 1, 2], [2, 3, 4]]))
+
+    def test_surface_48_96(self, tmp_path):
+        mesh = cs.build_disk_mesh(48, 96)
+        u, v = mesh.vertices[:, 0], mesh.vertices[:, 1]
+        X = np.column_stack([u, v, 2.0 + np.sin(3.0 * u) * v / 7.0])
+        self.assert_same_bytes(tmp_path, X, mesh.triangles)
+
+    def test_empty(self, tmp_path):
+        self.assert_same_bytes(tmp_path, np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+        assert (tmp_path / "block.obj").read_bytes() == b""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 import conesurf as cs
 from conesurf.errors import OutOfRange
@@ -233,7 +234,54 @@ def test_construction_matches_loops(n_r, n_theta):
     np.testing.assert_array_equal(m.quad_weights, weights)
 
 
+def reference_second_derivative_operator(mesh, batch=512):
+    """The operator from one pseudo-inverse per vertex, batched over the
+    vertices with the same two-ring size, without using the rotational
+    symmetry of the mesh: row 3 i + c holds vertex i's sorted two-ring,
+    then i itself."""
+    nv = len(mesh.vertices)
+    adj = mesh._neighbor_pattern()
+    ring2 = (adj @ adj + adj).tocsr()
+    ring2.setdiag(0)
+    ring2.eliminate_zeros()
+    ring2.sort_indices()
+    sizes = np.diff(ring2.indptr)
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(sizes + 1, 3))])
+    indices = np.empty(indptr[-1], dtype=int)
+    data = np.empty(indptr[-1])
+    for k in np.unique(sizes):
+        same = np.nonzero(sizes == k)[0]
+        for start in range(0, len(same), batch):
+            center = same[start:start + batch]
+            idx = ring2.indices[ring2.indptr[center][:, None] + np.arange(k)]
+            d = mesh.vertices[idx] - mesh.vertices[center][:, None, :]
+            du, dv = d[..., 0], d[..., 1]
+            A = np.stack([np.ones_like(du), du, dv,
+                          0.5 * du**2, du * dv, 0.5 * dv**2], axis=-1)
+            W = np.linalg.pinv(A)[:, 3:, :]
+            pos = indptr[3 * center[:, None] + np.arange(3)][:, :, None] + np.arange(k + 1)
+            data[pos] = np.concatenate([W, -W.sum(axis=-1, keepdims=True)], axis=-1)
+            indices[pos] = np.concatenate([idx, center[:, None]], axis=1)[:, None, :]
+    return sparse.csr_matrix((data, indices, indptr), shape=(3 * nv, nv))
+
+
 @pytest.mark.parametrize("n_r,n_theta", [(6, 12), (12, 24), (48, 96)])
+def test_second_derivative_operator_matches_per_vertex_fits(n_r, n_theta):
+    m = cs.build_disk_mesh(n_r, n_theta)
+    D2 = m.second_derivative_operator()
+    ref = reference_second_derivative_operator(m)
+    assert D2.shape == ref.shape and D2.nnz == ref.nnz
+    np.testing.assert_array_equal(D2.indptr, ref.indptr)
+    got, want = D2.copy(), ref.copy()
+    got.sort_indices()
+    want.sort_indices()
+    np.testing.assert_array_equal(got.indices, want.indices)
+    tol = 1e-13 * np.max(np.abs(ref.data))
+    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("n_r,n_theta",
+                         [(4, 8), (5, 9), (4, 13), (6, 12), (7, 20), (12, 24), (48, 96)])
 def test_second_derivative_operator_matches_lstsq(n_r, n_theta):
     m = cs.build_disk_mesh(n_r, n_theta)
     x, y = m.vertices[:, 0], m.vertices[:, 1]

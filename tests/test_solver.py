@@ -30,11 +30,27 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kw",
         [dict(damping=0.0), dict(damping=1.5), dict(residual_tol=0.0),
-         dict(update_tol=-1e-9), dict(continuation_steps=0)],
+         dict(update_tol=-1e-9), dict(continuation_steps=0),
+         dict(residual_tol=float("nan")), dict(damping=float("nan"))],
     )
     def test_rejects_bad_values(self, kw):
         with pytest.raises(OutOfRange):
             cs.SolveConfig(**kw)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(max_iters=2.5), dict(max_iters=True), dict(max_iters="3"),
+         dict(continuation_steps=2.0), dict(continuation_steps=False),
+         dict(damping=True), dict(damping="1"), dict(residual_tol=None),
+         dict(update_tol=True)],
+    )
+    def test_rejects_bad_types(self, kw):
+        with pytest.raises(OutOfRange, match=next(iter(kw))):
+            cs.SolveConfig(**kw)
+
+    def test_accepts_numpy_and_int_numbers(self):
+        cfg = cs.SolveConfig(max_iters=np.int64(5), damping=1, residual_tol=np.float64(1e-8))
+        assert cfg.max_iters == 5
 
 
 class TestDefectAndEnergies:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 import conesurf as cs
 from conesurf.errors import NotInjectiveAt, Uncovered
@@ -135,6 +136,32 @@ class TestStability:
         d = density_field(endtoend_state, field, normals)
         mu = stability_eigenvalue(endtoend_state, d)
         assert mu > 0
+
+    @staticmethod
+    def plain_shift_invert(state, p):
+        """mu_1 with eigsh factoring A - sigma M itself."""
+        mesh, inner = state.mesh, state.mesh.interior
+        Mp = mesh.weighted_mass(p[mesh.triangles].mean(axis=1))
+        A = (mesh.stiffness - 2.0 * Mp)[np.ix_(inner, inner)].tocsc()
+        M = mesh.mass[np.ix_(inner, inner)].tocsc()
+        sigma = -2.0 * float(np.max(np.abs(p))) - 10.0
+        vals = eigsh(A, k=1, M=M, sigma=sigma, which="LM", v0=np.ones(len(inner)),
+                     return_eigenvectors=False)
+        return float(vals[0])
+
+    def test_ordered_lu_matches_plain_shift_invert_flat(self):
+        mesh = cs.build_disk_mesh(32, 64)
+        st = synthetic_state(mesh, lambda u, v: np.array([u, v, 2.0]))
+        p = np.zeros(len(mesh.vertices))
+        mu = stability_eigenvalue(st, p)
+        assert mu == pytest.approx(self.plain_shift_invert(st, p), rel=1e-12)
+
+    def test_ordered_lu_matches_plain_shift_invert_endtoend(self, endtoend_state,
+                                                            endtoend_scenario):
+        field = endtoend_scenario[4]
+        d = density_field(endtoend_state, field, gauss_map(endtoend_state))
+        mu = stability_eigenvalue(endtoend_state, d)
+        assert mu == pytest.approx(self.plain_shift_invert(endtoend_state, d.p), rel=1e-12)
 
     def test_repeated_calls_are_equal(self, endtoend_state, endtoend_scenario):
         field = endtoend_scenario[4]
