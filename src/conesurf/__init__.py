@@ -40,6 +40,7 @@ from .solver import (
     SolveConfig,
     SurfaceState,
     conformality_defect,
+    energies,
     energy_F,
     energy_G,
     solve,

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .fields import CurvatureField
 from .mesh import build_disk_mesh
-from .solver import SolveConfig, SurfaceState, conformality_defect, energy_F, energy_G, solve
+from .solver import SolveConfig, SurfaceState, conformality_defect, energies, solve
 from .verifier import domain_grid, extract_radial_graph, verify_surface
 
 EXIT_OK = 0
@@ -96,15 +96,53 @@ def parse_field(config):
         raise ConfigInvalid(f"bad field block: {exc}") from exc
 
 
-def parse_mesh(config):
-    block = config.get("mesh", {})
+def _block(config, key):
+    """The optional object `key` of the config, {} when absent."""
+    block = config.get(key, {})
     if not isinstance(block, dict):
-        raise ConfigInvalid("config key 'mesh' has wrong type")
-    sizes = block.get("n_r", 24), block.get("n_theta", 48)
-    for key, value in zip(("n_r", "n_theta"), sizes):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigInvalid(f"mesh key {key!r} must be an integer, got {value!r}")
-    return sizes
+        raise ConfigInvalid(f"config key {key!r} has wrong type")
+    return block
+
+
+def _typed(block, what, key, default, kind):
+    """block[key] (or default) as kind: a positive int for kind int, a
+    finite real number for kind float; bools are neither."""
+    value = block.get(key, default)
+    if kind is int:
+        ok = isinstance(value, int) and value >= 1
+        noun = "a positive integer"
+    else:
+        ok = isinstance(value, (int, float)) and np.isfinite(value)
+        noun = "a finite real number"
+    if isinstance(value, bool) or not ok:
+        raise ConfigInvalid(f"{what} key {key!r} must be {noun}, got {value!r}")
+    return kind(value)
+
+
+def parse_mesh(config):
+    block = _block(config, "mesh")
+    return (_typed(block, "mesh", "n_r", 24, int),
+            _typed(block, "mesh", "n_theta", 48, int))
+
+
+# verify-block keys: the counts are positive integers, the thresholds finite reals
+VERIFY_KINDS = {
+    "grid_size": int,
+    "n_boundary": int,
+    "n_domain": int,
+    "n_axes": int,
+    "n_probe": int,
+    "branch_threshold": float,
+    "stability_tol": float,
+}
+
+
+def parse_verify(config, **defaults):
+    """{key: value} of the `verify` block for each key in defaults, the
+    default standing in for an absent key."""
+    block = _block(config, "verify")
+    return {key: _typed(block, "verify", key, default, VERIFY_KINDS[key])
+            for key, default in defaults.items()}
 
 
 def parse_solver(config):
@@ -116,10 +154,7 @@ def parse_solver(config):
 
 
 def load_config(path):
-    try:
-        cfg = io.read_json(path)
-    except IoError:
-        raise
+    cfg = io.read_json(path)
     if not isinstance(cfg, dict):
         raise ConfigInvalid("config root must be a JSON object")
     return cfg
@@ -135,6 +170,7 @@ def run_solve(config, out_dir):
     field = parse_field(config)
     n_r, n_theta = parse_mesh(config)
     solve_cfg = parse_solver(config)
+    out = _block(config, "output")
     curve = build_curve(boundary, g, beta)
     try:
         mesh = build_disk_mesh(n_r, n_theta)
@@ -142,10 +178,10 @@ def run_solve(config, out_dir):
         raise ConfigInvalid(f"bad mesh block: {exc}") from exc
     state = solve(mesh, curve, field, solve_cfg)
 
-    out = config.get("output", {})
     obj_path = Path(out_dir) / out.get("surface_obj", "surface.obj")
     log_path = Path(out_dir) / out.get("solve_log", "solve.json")
     io.write_obj(obj_path, state.X, mesh.triangles)
+    energy_F, energy_G = energies(state, field)
     io.write_json(log_path, {
         "schema": 1,
         "n_r": n_r,
@@ -155,8 +191,8 @@ def run_solve(config, out_dir):
         "residual": state.residual,
         "boundary_theta": state.boundary_theta.tolist(),
         "conformality_defect": conformality_defect(state),
-        "energy_F": energy_F(state, field),
-        "energy_G": energy_G(state, field),
+        "energy_F": energy_F,
+        "energy_G": energy_G,
         "iteration_log": state.iteration_log,
         "level_iterations": state.level_iterations,
         "level_damping": state.level_damping,
@@ -169,7 +205,9 @@ def run_verify(config, out_dir, surface_path=None):
     beta = parse_beta(config)
     boundary, g = parse_boundary(config)
     field = parse_field(config)
-    out = config.get("output", {})
+    out = _block(config, "output")
+    opts = parse_verify(config, grid_size=512, n_boundary=128, n_domain=1024,
+                        branch_threshold=1e-6, stability_tol=1e-3, n_axes=16, n_probe=8)
     if surface_path is None:
         surface_path = Path(out_dir) / out.get("surface_obj", "surface.obj")
     log_path = Path(out_dir) / out.get("solve_log", "solve.json")
@@ -182,26 +220,23 @@ def run_verify(config, out_dir, surface_path=None):
         mesh=mesh, X=X, boundary_theta=np.asarray(log["boundary_theta"], dtype=float),
     )
 
-    vblock = config.get("verify", {})
     axis_map = AxisMap(
-        boundary, beta,
-        n_boundary=int(vblock.get("n_boundary", 128)),
-        n_domain=int(vblock.get("n_domain", 1024)),
+        boundary, beta, n_boundary=opts["n_boundary"], n_domain=opts["n_domain"],
     )
     report = verify_surface(
         state, field, beta, axis_map=axis_map, boundary=boundary,
-        grid_size=int(vblock.get("grid_size", 512)),
-        branch_threshold=float(vblock.get("branch_threshold", 1e-6)),
-        stability_tol=float(vblock.get("stability_tol", 1e-3)),
-        n_axes=int(vblock.get("n_axes", 16)),
-        n_probe=int(vblock.get("n_probe", 8)),
+        grid_size=opts["grid_size"],
+        branch_threshold=opts["branch_threshold"],
+        stability_tol=opts["stability_tol"],
+        n_axes=opts["n_axes"],
+        n_probe=opts["n_probe"],
     )
     payload = report.to_dict()
     payload["beta_convexity_margin"] = axis_map.margin
     io.write_json(Path(out_dir) / out.get("report", "report.json"), payload)
 
     # radial-graph CSV table over a structured grid
-    grid = domain_grid(boundary, int(vblock.get("grid_size", 512)))
+    grid = domain_grid(boundary, opts["grid_size"])
     lam = extract_radial_graph(state, grid)
     rows = np.column_stack([np.arctan2(grid[:, 1], grid[:, 0]), np.arccos(grid[:, 2]), lam])
     io.write_csv(
@@ -215,9 +250,9 @@ def run_verify(config, out_dir, surface_path=None):
 def run_check_domain(config, out_dir):
     beta = parse_beta(config)
     boundary, _ = parse_boundary(config)
-    vblock = config.get("verify", {})
-    n_boundary = int(vblock.get("n_boundary", 256))
-    n_domain = int(vblock.get("n_domain", 2048))
+    out = _block(config, "output")
+    opts = parse_verify(config, n_boundary=256, n_domain=2048)
+    n_boundary, n_domain = opts["n_boundary"], opts["n_domain"]
     flag, margin = is_beta_convex(boundary, beta, n_boundary, n_domain)
     convex = is_convex(boundary, n_boundary, n_domain)
     orient = None
@@ -239,7 +274,6 @@ def run_check_domain(config, out_dir):
         "n_domain": n_domain,
         "pass": bool(flag and convex and orient == -1),
     }
-    out = config.get("output", {})
     io.write_json(Path(out_dir) / out.get("report", "domain_report.json"), payload)
     return EXIT_OK if payload["pass"] else EXIT_VERIFY
 
@@ -255,7 +289,7 @@ def run_profile_cone(config, out_dir):
     if "field" in config:
         field = parse_field(config)
 
-    out = config.get("output", {})
+    out = _block(config, "output")
     reports = []
     rows = []
     mins = []

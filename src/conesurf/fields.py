@@ -130,28 +130,3 @@ def check_monotonicity(field, samples):
     d = field.eval(p) + np.einsum("ij,ij->i", field.grad(p), p)
     return float(np.min(d, initial=np.inf))
 
-
-def divergence_fd(field, p, rel_step=1e-5):
-    """Central-difference divergence of Q at p, for consistency tests."""
-    p = np.asarray(p, dtype=float)
-    h = rel_step * max(1.0, np.linalg.norm(p))
-    div = 0.0
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        qp = build_potential_Q(field, p + e)
-        qm = build_potential_Q(field, p - e)
-        div += (qp[i] - qm[i]) / (2.0 * h)
-    return div
-
-
-def gradient_fd(field, p, rel_step=1e-6):
-    """Central-difference gradient of H at p, for consistency tests."""
-    p = np.asarray(p, dtype=float)
-    h = rel_step * max(1.0, np.linalg.norm(p))
-    g = np.zeros(3)
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        g[i] = (field.eval(p + e) - field.eval(p - e)) / (2.0 * h)
-    return g

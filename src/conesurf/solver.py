@@ -19,6 +19,13 @@ left at that fraction is off by about LEVEL_REDUCTION * q / (1 - q) of the
 jump between levels (q the contraction per step), which the next level's
 first steps remove.
 
+Each quantity that is fixed for a solve is computed once: the interior
+stiffness LU, the Dirichlet lift -K_ib g of the boundary values g and an
+iterate template holding g on the boundary ring are built when the solve
+starts, so a Picard step is one right-hand-side assembly and one LU
+back-solve.  `energies` returns F and G together from one quadrature of
+their shared Q coupling.
+
 The boundary ring is placed at equal arclength along Gamma and stays
 there.  F is not minimized over the monotone reparametrizations of the
 boundary, so the discrete surface is not conformal; solve.json records its
@@ -82,8 +89,7 @@ class SurfaceState:
 
     def triangle_derivatives(self):
         """(X_u, X_v) per triangle, each (nt, 3)."""
-        g = self.mesh.triangle_gradients(self.X)  # (nt, 2, 3)
-        return g[:, 0, :], g[:, 1, :]
+        return self.mesh.d_u @ self.X, self.mesh.d_v @ self.X
 
 
 EFLOOR_REL = 1e-14
@@ -100,31 +106,38 @@ def conformality_defect(state):
     return float(np.max((np.abs(e - g) + 2.0 * np.abs(f)) / np.maximum(e, floor)))
 
 
-def energy_F(state, field):
-    """Dirichlet part plus 2 int Q(X) . X_u ^ X_v, centroid quadrature."""
+def energies(state, field):
+    """(F, G) by centroid quadrature.  F is the Dirichlet part plus
+    2 int Q(X) . X_u ^ X_v; G is the area term int |X_u ^ X_v| plus the same
+    Q coupling, integrated once for both.  G equals F exactly when the map
+    is conformal."""
     mesh = state.mesh
     xu, xv = state.triangle_derivatives()
+    w = np.cross(xu, xv)
     dirichlet = 0.5 * np.sum(
         mesh.quad_weights
         * (np.einsum("ij,ij->i", xu, xu) + np.einsum("ij,ij->i", xv, xv))
     )
-    return float(dirichlet + 2.0 * _q_term(state, field, xu, xv))
+    area_term = np.sum(mesh.quad_weights * np.linalg.norm(w, axis=1))
+    coupling = 2.0 * _q_term(state, field, w)
+    return float(dirichlet + coupling), float(area_term + coupling)
+
+
+def energy_F(state, field):
+    """F of `energies`."""
+    return energies(state, field)[0]
 
 
 def energy_G(state, field):
-    """Area term int |X_u ^ X_v| plus the same Q coupling; G equals F
-    exactly when the map is conformal."""
-    mesh = state.mesh
-    xu, xv = state.triangle_derivatives()
-    area_term = np.sum(mesh.quad_weights * np.linalg.norm(np.cross(xu, xv), axis=1))
-    return float(area_term + 2.0 * _q_term(state, field, xu, xv))
+    """G of `energies`."""
+    return energies(state, field)[1]
 
 
-def _q_term(state, field, xu, xv):
+def _q_term(state, field, w):
+    """int Q(X) . w over the disk, w = X_u ^ X_v per triangle."""
     if getattr(field, "family", None) == "zero":
         return 0.0
     mesh = state.mesh
-    w = np.cross(xu, xv)
     centroids = mesh.centroid_op @ state.X
     total = 0.0
     for t in range(len(mesh.triangles)):
@@ -134,53 +147,50 @@ def _q_term(state, field, xu, xv):
 
 
 class _DiskSystem:
-    """Prefactorized interior stiffness for repeated Dirichlet solves."""
+    """Dirichlet solves of one solve: the prefactorized interior stiffness,
+    the lift -K_ib g of the boundary values g, and an iterate template that
+    holds g on the boundary ring."""
 
-    def __init__(self, mesh):
+    def __init__(self, mesh, boundary_values):
         self.mesh = mesh
         K = mesh.stiffness.tocsc()
         self.interior = mesh.interior
-        self.boundary = mesh.boundary
-        self.K_ii = K[np.ix_(self.interior, self.interior)]
-        self.K_ib = K[np.ix_(self.interior, self.boundary)]
-        self.lu = splu(self.K_ii.tocsc())
+        self.lu = splu(K[np.ix_(self.interior, self.interior)])
+        self.lift = -(K[np.ix_(self.interior, mesh.boundary)] @ boundary_values)
+        self.template = np.zeros((len(mesh.vertices), boundary_values.shape[1]))
+        self.template[mesh.boundary] = boundary_values
 
-    def solve_dirichlet(self, boundary_values, rhs_interior=None):
-        """Solve K X = b with X fixed on the boundary ring."""
-        rhs = -self.K_ib @ boundary_values
-        if rhs_interior is not None:
-            rhs = rhs + rhs_interior
-        nv = len(self.mesh.vertices)
-        X = np.zeros((nv, boundary_values.shape[1]))
-        X[self.boundary] = boundary_values
-        X[self.interior] = self.lu.solve(np.asarray(rhs))
+    def solve_dirichlet(self, rhs_interior=None):
+        """Solve K X = b with X = g on the boundary ring; b is zero on the
+        interior unless rhs_interior is given."""
+        rhs = self.lift if rhs_interior is None else self.lift + rhs_interior
+        X = self.template.copy()
+        X[self.interior] = self.lu.solve(rhs)
         return X
 
 
 def _assemble_rhs(mesh, X, field):
     """Load vector of -2 H(X) X_u ^ X_v (weak form moves the sign), and
-    max |2 H(X) X_u ^ X_v| over the triangle centroids."""
-    g = mesh.triangle_gradients(X)
-    w = np.cross(g[:, 0, :], g[:, 1, :])
+    the per-triangle values 2 H(X) X_u ^ X_v at the centroids."""
+    w = np.cross(mesh.d_u @ X, mesh.d_v @ X)
     centroids = mesh.centroid_op @ X
     r = np.linalg.norm(centroids, axis=1)
-    if np.any(~np.isfinite(r)):
+    if not np.all(np.isfinite(r)):
         raise FieldOutOfDomain("iterate has non-finite vertices")
     needs_origin = getattr(field, "family", None) not in ("zero", "constant")
     if needs_origin and np.any(r < 1e-10):
         raise FieldOutOfDomain("iterate touches the origin of the field domain")
-    h = field.eval(centroids)
-    tri_load = 2.0 * h[:, None] * w
-    return -(mesh.load_op @ tri_load), float(np.max(np.abs(tri_load)))
+    tri_load = 2.0 * field.eval(centroids)[:, None] * w
+    return -(mesh.load_op @ tri_load), tri_load
 
 
 def solve_residual(mesh, X, field):
     """(inf-norm residual, scale) of the discrete H-system at interior
     vertices, measured per unit of lumped mass."""
-    b, load_max = _assemble_rhs(mesh, X, field)
+    b, tri_load = _assemble_rhs(mesh, X, field)
     r = (mesh.stiffness @ X - b)[mesh.interior]
     r = r / mesh.lumped_mass[mesh.interior, None]
-    return float(np.max(np.abs(r))), max(1.0, load_max)
+    return float(np.max(np.abs(r))), max(1.0, float(np.max(np.abs(tri_load))))
 
 
 def arclength_parametrization(curve, n_boundary, n_fine=4096):
@@ -194,7 +204,7 @@ def arclength_parametrization(curve, n_boundary, n_fine=4096):
     return np.interp(targets, s, thetas)
 
 
-def _relax(system, field, X, boundary_values, damping, config, log, final):
+def _relax(system, field, X, damping, config, log, final):
     """Damped Picard steps from X, appending each update to log, until the
     update meets the level's tolerance, the steps stall or config.max_iters
     run out.  The tolerance is config.update_tol when final (the last
@@ -205,7 +215,7 @@ def _relax(system, field, X, boundary_values, damping, config, log, final):
     tol = config.update_tol
     for _ in range(config.max_iters):
         b, _ = _assemble_rhs(mesh, X, field)
-        X_new = system.solve_dirichlet(boundary_values, rhs_interior=b[system.interior])
+        X_new = system.solve_dirichlet(b[system.interior])
         X_next = (1.0 - damping) * X + damping * X_new
         update = float(np.max(np.abs(X_next - X)))
         X = X_next
@@ -233,7 +243,7 @@ def _contraction(updates):
     return float(q) if np.isfinite(q) else np.inf
 
 
-def _picard(system, field, X0, boundary_values, config, log, level, final):
+def _picard(system, field, X0, config, log, level, final):
     """Picard iteration for continuation level `level` (1-based) from X0,
     appending every update (restarts included) to log; `final` marks the
     last level, the only one driven to config.update_tol.  A stalled run
@@ -243,8 +253,7 @@ def _picard(system, field, X0, boundary_values, config, log, level, final):
     for halvings in range(MAX_HALVINGS + 1):
         damping = config.damping * 0.5**halvings
         start = len(log)
-        X, stalled = _relax(system, field, X0, boundary_values, damping, config, log,
-                            final)
+        X, stalled = _relax(system, field, X0, damping, config, log, final)
         if not stalled:
             return X, damping, _contraction(log[start:])
     raise NoConvergence(len(log), _failure_residual(system.mesh, X, field),
@@ -272,9 +281,8 @@ def solve(mesh, curve, field, config=None):
         config = SolveConfig()
     boundary_theta = arclength_parametrization(curve, mesh.n_theta)
 
-    system = _DiskSystem(mesh)
-    boundary_values = curve.points(boundary_theta)
-    X = system.solve_dirichlet(boundary_values)
+    system = _DiskSystem(mesh, curve.points(boundary_theta))
+    X = system.solve_dirichlet()
 
     log, level_iterations, level_damping, level_contraction = [], [], [], []
     if getattr(field, "family", None) != "zero":
@@ -282,8 +290,8 @@ def solve(mesh, curve, field, config=None):
         for level in range(1, n_levels + 1):
             start = len(log)
             X, damping, contraction = _picard(
-                system, field.scaled(level / n_levels), X, boundary_values, config,
-                log, level, final=level == n_levels)
+                system, field.scaled(level / n_levels), X, config, log, level,
+                final=level == n_levels)
             level_iterations.append(len(log) - start)
             level_damping.append(damping)
             level_contraction.append(contraction)

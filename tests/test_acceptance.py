@@ -8,7 +8,6 @@ import pytest
 
 import conesurf as cs
 from conesurf.errors import NotBetaConvexAt
-from conesurf.fields import divergence_fd
 from conesurf.solver import SurfaceState
 from conesurf.verifier import (
     check_enclosure,
@@ -21,6 +20,7 @@ from conesurf.verifier import (
     projection_degree,
     stability_eigenvalue,
 )
+from finite_differences import divergence_fd
 
 BETA = np.pi / 3
 J01_SQUARED = 5.783185962946785

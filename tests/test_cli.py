@@ -5,7 +5,8 @@ import subprocess
 import numpy as np
 import pytest
 
-from conesurf import cli, io
+from conesurf import cli, io, solver
+from conesurf.mesh import build_disk_mesh
 from conesurf.verifier import domain_grid
 
 BETA = np.pi / 3
@@ -48,6 +49,21 @@ class TestSolveAndVerify:
         # a contraction estimate per level, each below 1 for this field
         assert len(log["level_contraction"]) == 4
         assert all(0.0 < q < 1.0 for q in log["level_contraction"])
+
+    def test_solve_integrates_Q_once(self, tmp_path, monkeypatch):
+        # energy_F and energy_G share one Q quadrature: one potential call
+        # per triangle for the whole solve
+        calls = []
+        counted = solver.build_potential_Q
+
+        def counting(field, p):
+            calls.append(1)
+            return counted(field, p)
+
+        monkeypatch.setattr(solver, "build_potential_Q", counting)
+        cfg_path = write_config(tmp_path, solve_config())
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        assert len(calls) == len(build_disk_mesh(12, 24).triangles)
 
     def test_obj_round_trip(self, tmp_path):
         cfg_path = write_config(tmp_path, solve_config())
@@ -260,6 +276,52 @@ class TestExitCodes:
         assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "surface.obj").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("grid_size", "abc"), ("grid_size", 12.7), ("grid_size", True), ("grid_size", 0),
+        ("n_boundary", -3), ("n_domain", 512.0), ("n_axes", None), ("n_probe", "8"),
+        ("branch_threshold", "1e-6"), ("branch_threshold", False),
+        ("stability_tol", float("nan")), ("stability_tol", [1e-3]),
+    ])
+    def test_mistyped_verify_key_rejected(self, tmp_path, capsys, key, value):
+        cfg_path = write_config(tmp_path, solve_config())
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        cfg = solve_config()
+        cfg["verify"][key] = value
+        bad_path = write_config(tmp_path, cfg, name="bad.json")
+        assert cli.main(["verify", "--config", bad_path, "--out", str(tmp_path)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("key,value", [("n_boundary", 64.5), ("n_domain", "512"),
+                                           ("n_boundary", 0)])
+    def test_mistyped_check_domain_key_rejected(self, tmp_path, capsys, key, value):
+        cfg = solve_config()
+        cfg["verify"][key] = value
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["check-domain", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "domain_report.json").exists()
+
+    def test_verify_keys_are_converted(self):
+        cfg = solve_config(verify={"grid_size": 64, "stability_tol": 1})
+        opts = cli.parse_verify(cfg, grid_size=512, stability_tol=1e-3, n_probe=8)
+        assert opts == {"grid_size": 64, "stability_tol": 1.0, "n_probe": 8}
+        assert type(opts["stability_tol"]) is float
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "check-domain", "profile-cone"])
+    @pytest.mark.parametrize("block", ["verify", "output"])
+    def test_non_object_block_rejected(self, tmp_path, capsys, command, block):
+        if command == "verify":
+            good_path = write_config(tmp_path, solve_config())
+            assert cli.main(["solve", "--config", good_path, "--out", str(tmp_path)]) == 0
+        bad_path = write_config(tmp_path, solve_config(**{block: 5}), name="bad.json")
+        rc = cli.main([command, "--config", bad_path, "--out", str(tmp_path)])
+        if command in ("solve", "profile-cone") and block == "verify":
+            assert rc == 0  # neither command reads the verify block
+        else:
+            assert rc == 2
+            assert f"'{block}'" in capsys.readouterr().err
 
     def test_verify_non_beta_convex_domain(self, tmp_path):
         cfg_path = write_config(tmp_path, solve_config())

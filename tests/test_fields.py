@@ -4,7 +4,7 @@ from scipy import integrate
 
 import conesurf as cs
 from conesurf.errors import OutOfRange
-from conesurf.fields import divergence_fd, gradient_fd
+from finite_differences import divergence_fd, gradient_fd
 
 BETA = np.pi / 3
 

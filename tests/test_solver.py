@@ -3,13 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 import conesurf as cs
 from conesurf.errors import NoConvergence, OutOfRange
 from conesurf.solver import (
     LEVEL_REDUCTION,
     MAX_HALVINGS,
+    STALL_WINDOW,
     SurfaceState,
+    _contraction,
     arclength_parametrization,
 )
 
@@ -106,6 +109,50 @@ class TestDefectAndEnergies:
         f1 = cs.energy_F(make_state(mesh, X), zero)
         f2 = cs.energy_F(make_state(mesh, X @ R.T), zero)
         assert f2 == pytest.approx(f1, rel=1e-13)
+
+
+def two_pass_energies(state, field):
+    """F and G each with its own quadrature of the Q coupling, from the
+    stacked triangle gradients."""
+    mesh = state.mesh
+    g = mesh.triangle_gradients(state.X)
+    xu, xv = g[:, 0, :], g[:, 1, :]
+
+    def q_term():
+        if field.family == "zero":
+            return 0.0
+        w = np.cross(xu, xv)
+        centroids = mesh.centroid_op @ state.X
+        total = 0.0
+        for t in range(len(mesh.triangles)):
+            total += mesh.quad_weights[t] * (cs.build_potential_Q(field, centroids[t]) @ w[t])
+        return total
+
+    dirichlet = 0.5 * np.sum(
+        mesh.quad_weights
+        * (np.einsum("ij,ij->i", xu, xu) + np.einsum("ij,ij->i", xv, xv))
+    )
+    area = np.sum(mesh.quad_weights * np.linalg.norm(np.cross(xu, xv), axis=1))
+    return float(dirichlet + 2.0 * q_term()), float(area + 2.0 * q_term())
+
+
+@pytest.fixture(scope="module")
+def flat_32_64_state(flat_disk_curve):
+    curve, _ = flat_disk_curve
+    return cs.solve(cs.build_disk_mesh(32, 64), curve, cs.CurvatureField("zero"))
+
+
+class TestSharedEnergies:
+    FIELDS = [cs.CurvatureField("zero"), cs.CurvatureField("radial", c=0.15),
+              cs.CurvatureField("modulated", c=0.1, a=0.05)]
+
+    @pytest.mark.parametrize("state", ["flat_32_64_state", "endtoend_state"])
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.family)
+    def test_energies_are_F_and_G_bitwise(self, request, state, field):
+        st = request.getfixturevalue(state)
+        F, G = cs.energies(st, field)
+        assert (F, G) == (cs.energy_F(st, field), cs.energy_G(st, field))
+        assert (F, G) == two_pass_energies(st, field)
 
 
 class TestArclength:
@@ -259,6 +306,87 @@ class TestStallFallback:
             warnings.simplefilter("error")
             with pytest.raises(NoConvergence):
                 radial_solve(seed1_cap, 30.0)
+
+
+def relifting_solve(mesh, curve, field, config):
+    """The Picard loop of `solve` written out, with the Dirichlet lift
+    -K_ib g recomputed and the iterate rebuilt at every step.  Returns
+    (X, iteration_log, [(iterations, damping, contraction) per level]) or,
+    when a level fails, (None, iteration_log, (level, damping))."""
+    g = curve.points(arclength_parametrization(curve, mesh.n_theta))
+    K = mesh.stiffness.tocsc()
+    K_ib = K[np.ix_(mesh.interior, mesh.boundary)]
+    lu = splu(K[np.ix_(mesh.interior, mesh.interior)])
+
+    def dirichlet(rhs_interior=None):
+        rhs = -K_ib @ g
+        if rhs_interior is not None:
+            rhs = rhs + rhs_interior
+        X = np.zeros((len(mesh.vertices), 3))
+        X[mesh.boundary] = g
+        X[mesh.interior] = lu.solve(rhs)
+        return X
+
+    def interior_load(X, level_field):
+        grad = mesh.triangle_gradients(X)
+        w = np.cross(grad[:, 0, :], grad[:, 1, :])
+        h = level_field.eval(mesh.centroid_op @ X)
+        return -(mesh.load_op @ (2.0 * h[:, None] * w))[mesh.interior]
+
+    X, log, levels = dirichlet(), [], []
+    n = config.continuation_steps
+    for level in range(1, n + 1):
+        level_field, final, X0, level_start = field.scaled(level / n), level == n, X, len(log)
+        for halvings in range(MAX_HALVINGS + 1):
+            damping = config.damping * 0.5**halvings
+            X, start, tol, stalled = X0, len(log), config.update_tol, False
+            for _ in range(config.max_iters):
+                X_next = (1.0 - damping) * X + damping * dirichlet(interior_load(X, level_field))
+                update = float(np.max(np.abs(X_next - X)))
+                X = X_next
+                log.append(update)
+                if not np.isfinite(update):
+                    stalled = True
+                    break
+                if not final and len(log) == start + 1:
+                    tol = max(config.update_tol, LEVEL_REDUCTION * update)
+                if update <= tol:
+                    break
+                earlier = len(log) - 1 - STALL_WINDOW
+                if earlier >= start and update >= log[earlier]:
+                    stalled = True
+                    break
+            if not stalled:
+                break
+        else:
+            return None, log, (level, damping)
+        levels.append((len(log) - level_start, damping, _contraction(log[start:])))
+    return X, log, levels
+
+
+class TestLiftOncePerSolve:
+    @pytest.mark.parametrize("n_r", [12, 24])
+    def test_same_iterates_as_relifting_every_step(self, seed1_cap, n_r):
+        curve, _, c_beta = seed1_cap
+        mesh = cs.build_disk_mesh(n_r, 2 * n_r)
+        field = cs.CurvatureField("radial", c=0.9 * c_beta)
+        config = cs.SolveConfig(max_iters=400)
+        st = cs.solve(mesh, curve, field, config)
+        X, log, levels = relifting_solve(mesh, curve, field, config)
+        assert np.array_equal(st.X, X)
+        assert st.iteration_log == log
+        assert list(zip(st.level_iterations, st.level_damping, st.level_contraction)) == levels
+
+    def test_ten_times_bound_fails_where_relifting_fails(self, seed1_cap):
+        curve, mesh, c_beta = seed1_cap
+        field = cs.CurvatureField("radial", c=10.0 * c_beta)
+        config = cs.SolveConfig(max_iters=400)
+        with pytest.raises(NoConvergence) as info:
+            cs.solve(mesh, curve, field, config)
+        X, log, (level, damping) = relifting_solve(mesh, curve, field, config)
+        assert X is None
+        assert (info.value.level, info.value.damping) == (level, damping) == (3, 0.125)
+        assert info.value.iterations == len(log)
 
 
 class TestInexactContinuation:
