@@ -170,14 +170,8 @@ def is_convex(boundary, n_samples=256, n_domain=1024, tol=1e-9):
     its tangent leaves all domain samples weakly on one side."""
     thetas, bpts = boundary.boundary_samples(n_samples)
     samples = np.vstack([boundary.domain_samples(n_domain), bpts])
-    for th in thetas:
-        g = boundary.gamma_hat(th)
-        gd = boundary.gamma_hat_d(th)
-        n = np.cross(g, gd)
-        side = samples @ n
-        if np.any(side > tol) and np.any(side < -tol):
-            return False
-    return True
+    side = samples @ np.cross(bpts, boundary.gamma_hat_d(thetas)).T
+    return not np.any(np.any(side > tol, axis=0) & np.any(side < -tol, axis=0))
 
 
 def orientation_sign(boundary, beta, n_samples=256, axis_map=None):

@@ -19,7 +19,6 @@ from .boundary import (
     FourierScalar,
     SphericalBoundary,
     build_curve,
-    is_beta_convex,
     is_convex,
     orientation_sign,
 )
@@ -36,6 +35,7 @@ from .errors import (
     ConfigInvalid,
     IoError,
     NoConvergence,
+    NotBetaConvexAt,
     OutOfRange,
     SignChange,
 )
@@ -65,26 +65,55 @@ def _require(block, key, kind=None):
 
 def parse_beta(config):
     cone = _require(config, "cone", dict)
-    beta = float(_require(cone, "beta"))
+    beta = _real(_require(cone, "beta"), "cone", "beta")
     if not (0.0 < beta < np.pi / 2):
         raise ConfigInvalid(f"beta {beta} not in (0, pi/2)")
     return beta
 
 
+def parse_profiles(config, beta):
+    """(delta, eps_list) of the cone block: delta a finite real with
+    beta + delta in (0, pi/2), select_delta(beta) when absent; eps_list a
+    non-empty list of positive reals."""
+    cone = _require(config, "cone", dict)
+    delta = cone.get("delta")
+    if delta is None:
+        delta = select_delta(beta)
+    elif not 0.0 < beta + _real(delta, "cone", "delta") < np.pi / 2:
+        raise ConfigInvalid(f"cone key 'delta' {delta!r}: beta + delta not in (0, pi/2)")
+    eps_list = _reals(cone.get("eps_list", [0.1, 0.05, 0.025]), "cone", "eps_list")
+    if not eps_list or min(eps_list) <= 0.0:
+        raise ConfigInvalid(f"cone key 'eps_list' must hold positive reals, got {eps_list!r}")
+    return float(delta), eps_list
+
+
+def _fourier(const, block, what):
+    """FourierScalar with constant term const and the coefficient lists
+    block["cos"], block["sin"] (finite reals, empty when absent)."""
+    return FourierScalar(const, _reals(block.get("cos", []), what, "cos"),
+                         _reals(block.get("sin", []), what, "sin"))
+
+
 def parse_boundary(config):
+    """(boundary, g) of the boundary block.  OutOfRange from building them,
+    such as a Fourier order above the cap or a profile leaving (0, pi/2),
+    is a config error."""
     block = _require(config, "boundary", dict)
     kind = block.get("type", "cap")
-    alpha_c = float(_require(block, "alpha_c"))
-    if kind == "cap":
-        boundary = SphericalBoundary.cap(alpha_c)
-    elif kind == "perturbed_cap":
-        boundary = SphericalBoundary.perturbed_cap(
-            alpha_c, block.get("cos", ()), block.get("sin", ())
-        )
-    else:
+    if kind not in ("cap", "perturbed_cap"):
         raise ConfigInvalid(f"unknown boundary type {kind!r}")
+    alpha_c = _real(_require(block, "alpha_c"), "boundary", "alpha_c")
+    if not 0.0 < alpha_c < np.pi / 2:
+        raise ConfigInvalid(f"boundary key 'alpha_c' {alpha_c} not in (0, pi/2)")
     gd = block.get("g", {"const": 1.0})
-    g = FourierScalar.from_dict(gd)
+    if not isinstance(gd, dict):
+        raise ConfigInvalid(f"boundary key 'g' must be an object, got {gd!r}")
+    try:
+        boundary = SphericalBoundary(
+            _fourier(alpha_c, block if kind == "perturbed_cap" else {}, "boundary"))
+        g = _fourier(_real(gd.get("const", 0.0), "boundary g", "const"), gd, "boundary g")
+    except OutOfRange as exc:
+        raise ConfigInvalid(f"bad boundary block: {exc}") from exc
     return boundary, g
 
 
@@ -104,19 +133,35 @@ def _block(config, key):
     return block
 
 
+def _is_real(value):
+    """True for a finite int or float; bools are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and bool(np.isfinite(value)))
+
+
+def _real(value, what, key):
+    if not _is_real(value):
+        raise ConfigInvalid(f"{what} key {key!r} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _reals(value, what, key):
+    if not (isinstance(value, list) and all(_is_real(v) for v in value)):
+        raise ConfigInvalid(
+            f"{what} key {key!r} must be a list of finite real numbers, got {value!r}"
+        )
+    return [float(v) for v in value]
+
+
 def _typed(block, what, key, default, kind):
     """block[key] (or default) as kind: a positive int for kind int, a
     finite real number for kind float; bools are neither."""
     value = block.get(key, default)
-    if kind is int:
-        ok = isinstance(value, int) and value >= 1
-        noun = "a positive integer"
-    else:
-        ok = isinstance(value, (int, float)) and np.isfinite(value)
-        noun = "a finite real number"
-    if isinstance(value, bool) or not ok:
-        raise ConfigInvalid(f"{what} key {key!r} must be {noun}, got {value!r}")
-    return kind(value)
+    if kind is float:
+        return _real(value, what, key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigInvalid(f"{what} key {key!r} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def parse_mesh(config):
@@ -201,6 +246,31 @@ def run_solve(config, out_dir):
     return EXIT_OK
 
 
+def parse_solve_log(path):
+    """(mesh, boundary_theta) named by the solve log at path.  A missing or
+    mistyped n_r, n_theta or boundary_theta, or n_theta boundary parameters
+    that are not n_theta many, is an artifact error."""
+    log = io.read_json(path)
+    what = f"solve log {path}"
+    if not isinstance(log, dict):
+        raise ConfigInvalid(f"{what} is not a JSON object")
+    for key in ("n_r", "n_theta", "boundary_theta"):
+        if key not in log:
+            raise ConfigInvalid(f"{what} lacks key {key!r}")
+    n_r = _typed(log, what, "n_r", None, int)
+    n_theta = _typed(log, what, "n_theta", None, int)
+    theta = _reals(log["boundary_theta"], what, "boundary_theta")
+    if len(theta) != n_theta:
+        raise ConfigInvalid(
+            f"{what} key 'boundary_theta' has {len(theta)} entries, n_theta is {n_theta}"
+        )
+    try:
+        mesh = build_disk_mesh(n_r, n_theta)
+    except OutOfRange as exc:
+        raise ConfigInvalid(f"{what} keys 'n_r', 'n_theta': {exc}") from exc
+    return mesh, np.asarray(theta)
+
+
 def run_verify(config, out_dir, surface_path=None):
     beta = parse_beta(config)
     boundary, g = parse_boundary(config)
@@ -212,13 +282,10 @@ def run_verify(config, out_dir, surface_path=None):
         surface_path = Path(out_dir) / out.get("surface_obj", "surface.obj")
     log_path = Path(out_dir) / out.get("solve_log", "solve.json")
     X, faces = io.read_obj(surface_path)
-    log = io.read_json(log_path)
-    mesh = build_disk_mesh(int(log["n_r"]), int(log["n_theta"]))
+    mesh, boundary_theta = parse_solve_log(log_path)
     if len(X) != len(mesh.vertices) or not np.array_equal(faces, mesh.triangles):
         raise ConfigInvalid("surface artifact does not match the mesh block")
-    state = SurfaceState(
-        mesh=mesh, X=X, boundary_theta=np.asarray(log["boundary_theta"], dtype=float),
-    )
+    state = SurfaceState(mesh=mesh, X=X, boundary_theta=boundary_theta)
 
     axis_map = AxisMap(
         boundary, beta, n_boundary=opts["n_boundary"], n_domain=opts["n_domain"],
@@ -253,15 +320,16 @@ def run_check_domain(config, out_dir):
     out = _block(config, "output")
     opts = parse_verify(config, n_boundary=256, n_domain=2048)
     n_boundary, n_domain = opts["n_boundary"], opts["n_domain"]
-    flag, margin = is_beta_convex(boundary, beta, n_boundary, n_domain)
     convex = is_convex(boundary, n_boundary, n_domain)
-    orient = None
-    orient_err = None
-    if flag:
-        try:
-            orient = orientation_sign(boundary, beta, n_samples=n_boundary)
-        except SignChange as exc:
-            orient_err = str(exc)
+    flag, margin, orient, orient_err = False, float("-inf"), None, None
+    try:
+        axis_map = AxisMap(boundary, beta, n_boundary, n_domain)
+        flag, margin = True, axis_map.margin
+        orient = orientation_sign(boundary, beta, axis_map=axis_map)
+    except NotBetaConvexAt:
+        pass  # reported as beta_convex false, with no axes to orient
+    except SignChange as exc:
+        orient_err = str(exc)
     payload = {
         "schema": 1,
         "beta": beta,
@@ -279,27 +347,23 @@ def run_check_domain(config, out_dir):
 
 
 def run_profile_cone(config, out_dir):
-    cone = _require(config, "cone", dict)
     beta = parse_beta(config)
-    delta = cone.get("delta")
-    if delta is None:
-        delta = select_delta(beta)
-    eps_list = cone.get("eps_list", [0.1, 0.05, 0.025])
+    delta, eps_list = parse_profiles(config, beta)
     field = None
     if "field" in config:
         field = parse_field(config)
 
     out = _block(config, "output")
     reports = []
-    rows = []
+    tables = []
     mins = []
     for eps in eps_list:
-        profile = make_profile(beta, float(delta), float(eps))
+        profile = make_profile(beta, delta, eps)
         jumps = junction_jumps(profile)
         m = min_cap_curvature(profile, 256)
         mins.append(m)
         entry = {
-            "eps": float(eps),
+            "eps": eps,
             "t_eps": profile.t_eps,
             "junction_jumps": jumps,
             "min_cap_curvature": m,
@@ -307,17 +371,17 @@ def run_profile_cone(config, out_dir):
         if field is not None:
             entry["enclosure"] = check_enclosure_curvature(profile, field)
         reports.append(entry)
-        for t in np.linspace(0.0, 4.0 * profile.t_eps, 128):
-            rows.append((
-                eps, t, float(profile.alpha1(t)), float(profile.alpha2(t)),
-                profile_mean_curvature(profile, t),
-            ))
+        ts = np.linspace(0.0, 4.0 * profile.t_eps, 128)
+        tables.append(np.column_stack([
+            np.full_like(ts, eps), ts, profile.alpha1(ts), profile.alpha2(ts),
+            profile_mean_curvature(profile, ts),
+        ]))
     # successive ratio of minimum cap curvatures; ~2 when eps is halved
     ratios = [mins[i + 1] / mins[i] for i in range(len(mins) - 1)]
     payload = {
         "schema": 1,
         "beta": beta,
-        "delta": float(delta),
+        "delta": delta,
         "profiles": reports,
         "min_curvature_ratios": ratios,
         "pass": all(
@@ -329,7 +393,7 @@ def run_profile_cone(config, out_dir):
     }
     io.write_csv(
         Path(out_dir) / out.get("profile_csv", "profile.csv"),
-        ("eps", "t", "alpha1", "alpha2", "H_S"), rows,
+        ("eps", "t", "alpha1", "alpha2", "H_S"), np.vstack(tables),
     )
     io.write_json(Path(out_dir) / out.get("report", "profile_report.json"), payload)
     return EXIT_OK if payload["pass"] else EXIT_VERIFY

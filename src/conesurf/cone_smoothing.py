@@ -4,6 +4,9 @@ The boundary cone of half-angle beta+delta is rounded near the vertex by
 replacing the height profile with a quartic on [0, t_eps], chosen so the
 resulting surface of revolution is C^2, misses the origin, and has inward
 mean curvature dominating the prescribed field.
+
+The profile and curvature functions take t as a scalar, returning a float,
+or as an array of samples, returning an array of its shape.
 """
 
 from dataclasses import dataclass
@@ -62,12 +65,6 @@ class SmoothedConeProfile:
     def alpha1(self, t):
         return np.sin(self.opening) * np.asarray(t, dtype=float)
 
-    def alpha1_d(self, t):
-        return np.full_like(np.asarray(t, dtype=float), np.sin(self.opening))
-
-    def alpha1_dd(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
     def alpha2(self, t):
         t = np.asarray(t, dtype=float)
         quart = self.a_eps * t**4 + self.b_eps * t**2 + self.c_eps
@@ -121,46 +118,51 @@ def profile_point(profile, t, theta):
     )
 
 
+def _scalar_or_array(values):
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _off_axis(profile, t):
+    """t with each t <= 0 moved to 1e-6 * t_eps: the closed formulas are
+    0/0 on the axis, so the value there is taken one-sided."""
+    t = np.asarray(t, dtype=float)
+    return np.where(t <= 0.0, 1e-6 * profile.t_eps, t)
+
+
 def revolution_mean_curvature(a1, a1_d, a1_dd, a2_d, a2_dd):
     """Inward mean curvature of a surface of revolution from its generating
-    curve data at one parameter value:
+    curve data (scalars or arrays that broadcast):
 
         [a1 (a1' a2'' - a2' a1'') + a2' ((a1')^2 + (a2')^2)]
         / (2 a1 ((a1')^2 + (a2')^2)^(3/2))
     """
-    if a1 <= 0.0:
-        raise AxisSingularity(f"alpha1 = {a1} <= 0 (axis of revolution)")
+    if np.any(a1 <= 0.0):
+        raise AxisSingularity(f"alpha1 = {np.min(a1)} <= 0 (axis of revolution)")
     speed2 = a1_d**2 + a2_d**2
-    if speed2 <= 0.0:
+    if np.any(speed2 <= 0.0):
         raise AxisSingularity("generating curve has zero speed")
     num = a1 * (a1_d * a2_dd - a2_d * a1_dd) + a2_d * speed2
-    return float(num / (2.0 * a1 * speed2**1.5))
+    return _scalar_or_array(num / (2.0 * a1 * speed2**1.5))
 
 
 def profile_mean_curvature(profile, t):
-    """Mean curvature of the smoothed cone at parameter t >= 0.
-
-    The closed formula is 0/0 on the axis; at t = 0 the value is taken by
-    one-sided evaluation at t = 1e-6 * t_eps.
-    """
-    if t <= 0.0:
-        t = 1e-6 * profile.t_eps
+    """Mean curvature of the smoothed cone at parameters t >= 0; alpha1 is
+    linear, so alpha1' = sin(beta+delta) and alpha1'' = 0."""
+    t = _off_axis(profile, t)
     return revolution_mean_curvature(
-        float(profile.alpha1(t)), float(profile.alpha1_d(t)),
-        float(profile.alpha1_dd(t)), float(profile.alpha2_d(t)),
-        float(profile.alpha2_dd(t)),
+        profile.alpha1(t), np.sin(profile.opening), 0.0,
+        profile.alpha2_d(t), profile.alpha2_dd(t),
     )
 
 
 def cap_curvature_lower_bound(profile, t):
     """Lower bound a2' / (2 a1 sqrt((a1')^2 + (a2')^2)) valid on [0, t_eps],
     obtained by dropping the (positive there) a1 a1' a2'' term."""
-    if t <= 0.0:
-        t = 1e-6 * profile.t_eps
-    a1 = float(profile.alpha1(t))
-    a1_d = float(profile.alpha1_d(t))
-    a2_d = float(profile.alpha2_d(t))
-    return a2_d / (2.0 * a1 * np.sqrt(a1_d**2 + a2_d**2))
+    t = _off_axis(profile, t)
+    a2_d = profile.alpha2_d(t)
+    return _scalar_or_array(
+        a2_d / (2.0 * profile.alpha1(t) * np.sqrt(np.sin(profile.opening)**2 + a2_d**2))
+    )
 
 
 def min_cap_curvature(profile, n_samples=256):
@@ -168,7 +170,7 @@ def min_cap_curvature(profile, n_samples=256):
     if n_samples < 64:
         raise OutOfRange("n_samples must be >= 64")
     ts = np.linspace(0.0, profile.t_eps, n_samples)
-    return min(profile_mean_curvature(profile, t) for t in ts)
+    return float(np.min(profile_mean_curvature(profile, ts)))
 
 
 def check_enclosure_curvature(profile, field, n_samples=256, t_max=None):
@@ -185,8 +187,8 @@ def check_enclosure_curvature(profile, field, n_samples=256, t_max=None):
         np.linspace(profile.t_eps, t_max, n_samples)[1:],
     ])
     thetas = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    hs = np.array([profile_mean_curvature(profile, t) for t in ts])
-    pts = profile_point(profile, np.maximum(ts, 1e-6 * profile.t_eps)[:, None], thetas)
+    hs = profile_mean_curvature(profile, ts)
+    pts = profile_point(profile, _off_axis(profile, ts)[:, None], thetas)
     margins = hs[:, None] - np.abs(field.eval(pts))
     i, j = np.unravel_index(np.argmin(margins), margins.shape)
     margin = float(margins[i, j])
@@ -206,12 +208,9 @@ def junction_jumps(profile):
     itself vanishes at t_eps.
     """
     t = profile.t_eps
-    quart_val = profile.a_eps * t**4 + profile.b_eps * t**2 + profile.c_eps
-    quart_d = 4.0 * profile.a_eps * t**3 + 2.0 * profile.b_eps * t
-    quart_dd = 12.0 * profile.a_eps * t**2 + 2.0 * profile.b_eps
     cos_o = np.cos(profile.opening)
     return {
-        "value": float(quart_val - cos_o * t),
-        "first": float(quart_d - cos_o),
-        "second": float(quart_dd - 0.0),
+        "value": float(profile.alpha2(t) - cos_o * t),
+        "first": float(profile.alpha2_d(t) - cos_o),
+        "second": float(profile.alpha2_dd(t)),
     }

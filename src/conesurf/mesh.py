@@ -122,14 +122,6 @@ class DiskMesh:
 
     # -- derivative helpers ----------------------------------------------
 
-    def triangle_gradients(self, values):
-        """Per-triangle (d/du, d/dv) of a vertex field.
-
-        values: (nv,) or (nv, m); returns (nt, 2) or (nt, 2, m).
-        """
-        v = np.asarray(values, dtype=float)
-        return np.stack([self.d_u @ v, self.d_v @ v], axis=1)
-
     def vertex_average(self, tri_values):
         """Area-weighted average of per-triangle values onto vertices.  The
         weights are load_op's row sums, which are the lumped mass."""

@@ -105,9 +105,10 @@ def density_field(state, field, normals):
     return DensityField(p=p, E=E, K=K, grad_H_dot_N=ghn, defined=defined)
 
 
-def stability_eigenvalue(state, density, tol=0.0):
+def stability_eigenvalue(state, density):
     """Smallest eigenvalue of (stiffness - 2 p mass) phi = mu mass phi with
-    zero boundary values; the surface is stable when mu_1 >= -tol."""
+    zero boundary values; verify_surface calls the surface stable when
+    mu_1 >= -stability_tol."""
     mesh = state.mesh
     p = density.p if hasattr(density, "p") else np.asarray(density, dtype=float)
     interior = mesh.interior
@@ -135,13 +136,6 @@ def stability_eigenvalue(state, density, tol=0.0):
 
 # ---------------------------------------------------------------------------
 # Enclosure barriers
-
-
-def _vertex_first_derivatives(state):
-    g = state.mesh.triangle_gradients(state.X)  # (nt, 2, 3)
-    xu = state.mesh.vertex_average(g[:, 0, :])
-    xv = state.mesh.vertex_average(g[:, 1, :])
-    return xu, xv
 
 
 def _deep_interior(mesh, margin=2):
@@ -195,7 +189,8 @@ def check_enclosure(state, beta, field=None):
     mesh = state.mesh
     res = None
     if field is not None:
-        xu, xv = _vertex_first_derivatives(state)
+        xu = mesh.vertex_average(mesh.d_u @ X)
+        xv = mesh.vertex_average(mesh.d_v @ X)
         E = vertex_conformal_factor(state)
         w = np.cross(xu, xv)
         h = field.eval(X)
@@ -341,8 +336,7 @@ def jacobian_identity_check(state):
     mesh = state.mesh
     X = state.X
     S = X / np.linalg.norm(X, axis=1)[:, None]
-    gs = mesh.triangle_gradients(S)
-    left_dir = np.cross(gs[:, 0, :], gs[:, 1, :])
+    left_dir = np.cross(mesh.d_u @ S, mesh.d_v @ S)
     s_c = S[mesh.triangles].mean(axis=1)
     s_c = s_c / np.linalg.norm(s_c, axis=1)[:, None]
     left = np.einsum("ij,ij->i", left_dir, s_c)

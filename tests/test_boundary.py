@@ -139,6 +139,25 @@ class TestBetaConvexity:
         b = cs.SphericalBoundary.perturbed_cap(0.5, cos_coeffs=[0.0, 0.0, 0.35])
         assert not cs.is_convex(b)
 
+    @pytest.mark.parametrize("cos_coeffs,convex", [((), True), ((0.05,), True),
+                                                   ((0.0, 0.0, 0.35), False)],
+                             ids=["cap", "perturbed", "wavy"])
+    @pytest.mark.parametrize("n_samples,n_domain", [(256, 1024), (64, 512)])
+    def test_matches_per_theta_loop(self, cos_coeffs, convex, n_samples, n_domain):
+        # the supporting-plane test one boundary sample at a time
+        b = cs.SphericalBoundary.perturbed_cap(0.5, cos_coeffs=cos_coeffs)
+        thetas, bpts = b.boundary_samples(n_samples)
+        samples = np.vstack([b.domain_samples(n_domain), bpts])
+        tol = 1e-9
+        ref = True
+        for th in thetas:
+            side = samples @ np.cross(b.gamma_hat(th), b.gamma_hat_d(th))
+            if np.any(side > tol) and np.any(side < -tol):
+                ref = False
+                break
+        assert ref is convex
+        assert cs.is_convex(b, n_samples=n_samples, n_domain=n_domain) is ref
+
 
 class TestOrientation:
     def test_cap_positively_oriented(self):

@@ -5,7 +5,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from conesurf import cli, io, solver
+from conesurf import boundary, cli, io, solver
 from conesurf.mesh import build_disk_mesh
 from conesurf.verifier import domain_grid
 
@@ -169,6 +169,37 @@ class TestCheckDomain:
         assert rep["beta_convex"] and rep["convex"]
         assert rep["orientation_sign"] == -1
 
+    def counted_axis_at(self, monkeypatch):
+        """Patch boundary.axis_at to record the number of containment
+        samples of each call."""
+        seen = []
+        original = boundary.axis_at
+
+        def counting(b, beta, theta, samples, tol=1e-8):
+            seen.append(len(samples))
+            return original(b, beta, theta, samples, tol=tol)
+
+        monkeypatch.setattr(boundary, "axis_at", counting)
+        return seen
+
+    def test_one_axis_map(self, tmp_path, monkeypatch):
+        # beta-convexity and orientation share one axis per boundary sample
+        seen = self.counted_axis_at(monkeypatch)
+        cfg = solve_config()
+        del cfg["verify"]
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["check-domain", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        assert len(seen) == 256
+
+    def test_orientation_uses_configured_n_domain(self, tmp_path, monkeypatch):
+        seen = self.counted_axis_at(monkeypatch)
+        cfg = solve_config(verify={"n_boundary": 64, "n_domain": 300})
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["check-domain", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        assert seen == [300 + 64] * 64
+        rep = json.loads((tmp_path / "domain_report.json").read_text())
+        assert rep["orientation_sign"] == -1 and rep["n_domain"] == 300
+
     def test_wide_cap_fails(self, tmp_path):
         cfg = solve_config(boundary={"type": "cap", "alpha_c": BETA + 0.1})
         cfg_path = write_config(tmp_path, cfg)
@@ -205,6 +236,19 @@ class TestProfileCone:
         assert rc == 0
         rep = json.loads((tmp_path / "profile_report.json").read_text())
         assert "enclosure" in rep["profiles"][0]
+
+
+    @pytest.mark.parametrize("key,value", [
+        ("eps_list", ["abc"]), ("eps_list", 5), ("eps_list", [-0.1]), ("eps_list", [0.1, 0.0]),
+        ("eps_list", []), ("eps_list", [True]), ("delta", "x"), ("delta", 1.0),
+        ("delta", -BETA),
+    ])
+    def test_mistyped_cone_key_rejected(self, tmp_path, capsys, key, value):
+        cfg_path = write_config(tmp_path, {"cone": {"beta": BETA, key: value}})
+        assert cli.main(["profile-cone", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "profile_report.json").exists()
+        assert not (tmp_path / "profile.csv").exists()
 
 
 class TestExitCodes:
@@ -322,6 +366,64 @@ class TestExitCodes:
         else:
             assert rc == 2
             assert f"'{block}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_r", None), ("n_theta", None), ("boundary_theta", None),
+        ("n_r", "12"), ("n_r", 12.0), ("n_theta", True), ("n_r", 2),
+        ("boundary_theta", "x"), ("boundary_theta", ["a"] * 24),
+        ("boundary_theta", [0.0] * 23),
+    ], ids=["no_n_r", "no_n_theta", "no_boundary_theta", "n_r_string", "n_r_float",
+            "n_theta_bool", "n_r_below_minimum", "theta_string", "theta_strings",
+            "theta_short"])
+    def test_bad_solve_log_is_artifact_error(self, tmp_path, capsys, key, value):
+        cfg_path = write_config(tmp_path, solve_config())
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        log = json.loads((tmp_path / "solve.json").read_text())
+        if value is None:
+            del log[key]
+        else:
+            log[key] = value
+        io.write_json(tmp_path / "solve.json", log)
+        assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_solve_log_not_an_object(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, solve_config())
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        io.write_json(tmp_path / "solve.json", [12, 24])
+        assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "solve log" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block,key,value,named", [
+        ("cone", "beta", "x", "'beta'"), ("cone", "beta", [1], "'beta'"),
+        ("cone", "beta", True, "'beta'"),
+        ("boundary", "alpha_c", "x", "'alpha_c'"), ("boundary", "alpha_c", 1.6, "'alpha_c'"),
+        ("boundary", "alpha_c", 0.0, "'alpha_c'"),
+        ("boundary", "cos", ["a"], "'cos'"), ("boundary", "cos", 0.1, "'cos'"),
+        ("boundary", "sin", [None], "'sin'"),
+        ("boundary", "g", "x", "'g'"), ("boundary", "g", {"const": "x"}, "'const'"),
+        ("boundary", "g", {"const": 1.0, "cos": "x"}, "'cos'"),
+        ("boundary", "cos", [0.01] * 9, "Fourier order"),
+        ("boundary", "cos", [0.9], "colatitude"),
+    ])
+    def test_mistyped_cone_or_boundary_key_rejected(self, tmp_path, capsys, block, key,
+                                                    value, named):
+        cfg = solve_config()
+        cfg[block][key] = value
+        cfg_path = write_config(tmp_path, cfg)
+        for command in ("solve", "check-domain"):
+            assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path)]) == 2
+            assert named in capsys.readouterr().err
+        assert not (tmp_path / "surface.obj").exists()
+        assert not (tmp_path / "domain_report.json").exists()
+
+    def test_curve_leaving_cone_is_verification_failure(self, tmp_path, capsys):
+        # a hypothesis of the theory fails, not the config's form
+        cfg = solve_config(boundary={"type": "cap", "alpha_c": BETA + 0.1})
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 4
+        assert "leaves the cone" in capsys.readouterr().err
 
     def test_verify_non_beta_convex_domain(self, tmp_path):
         cfg_path = write_config(tmp_path, solve_config())

@@ -137,6 +137,101 @@ class TestRevolutionMeanCurvature:
         with pytest.raises(AxisSingularity):
             cs.revolution_mean_curvature(0.0, 1.0, 0.0, 1.0, 0.0)
 
+    def test_arrays_broadcast(self):
+        R = np.array([0.5, 1.0, 2.0])
+        h = cs.revolution_mean_curvature(R, 0.0, 0.0, 1.0, 0.0)
+        np.testing.assert_allclose(h, 1.0 / (2 * R), rtol=1e-15)
+        assert type(cs.revolution_mean_curvature(2.0, 0.0, 0.0, 1.0, 0.0)) is float
+
+    def test_axis_singularity_at_any_sample(self):
+        with pytest.raises(AxisSingularity):
+            cs.revolution_mean_curvature(np.array([1.0, 0.0]), 1.0, 0.0, 1.0, 0.0)
+        with pytest.raises(AxisSingularity):
+            cs.revolution_mean_curvature(np.array([1.0, 2.0]), np.array([1.0, 0.0]),
+                                         0.0, 0.0, 0.0)
+
+
+def reference_mean_curvature(profile, t):
+    """The scalar formula of profile_mean_curvature, one t at a time, with
+    alpha1' = sin(beta+delta) and alpha1'' = 0 written out."""
+    if t <= 0.0:
+        t = 1e-6 * profile.t_eps
+    a1 = float(profile.alpha1(t))
+    a1_d = float(np.sin(profile.opening))
+    a2_d, a2_dd = float(profile.alpha2_d(t)), float(profile.alpha2_dd(t))
+    speed2 = a1_d**2 + a2_d**2
+    num = a1 * (a1_d * a2_dd - a2_d * 0.0) + a2_d * speed2
+    return float(num / (2.0 * a1 * speed2**1.5))
+
+
+def reference_lower_bound(profile, t):
+    if t <= 0.0:
+        t = 1e-6 * profile.t_eps
+    a1 = float(profile.alpha1(t))
+    a1_d = float(np.sin(profile.opening))
+    a2_d = float(profile.alpha2_d(t))
+    return a2_d / (2.0 * a1 * np.sqrt(a1_d**2 + a2_d**2))
+
+
+PROFILES = [(np.pi / 4, 0.0, 0.1), (np.pi / 3, 0.02, 0.05), (0.3, 0.01, 0.0125)]
+
+
+@pytest.mark.parametrize("beta,delta,eps", PROFILES)
+class TestArrayValued:
+    """One call on all samples against the scalar formulas sample by sample."""
+
+    def test_mean_curvature(self, beta, delta, eps):
+        p = cs.make_profile(beta, delta, eps)
+        ts = np.linspace(0.0, 4.0 * p.t_eps, 128)
+        ref = [reference_mean_curvature(p, t) for t in ts]
+        np.testing.assert_allclose(profile_mean_curvature(p, ts), ref, rtol=1e-15, atol=0)
+        grid = profile_mean_curvature(p, np.stack([ts, ts[::-1]]))
+        assert grid.shape == (2, 128)
+        np.testing.assert_array_equal(grid[1], grid[0][::-1])
+
+    def test_lower_bound(self, beta, delta, eps):
+        p = cs.make_profile(beta, delta, eps)
+        ts = np.linspace(0.0, p.t_eps, 256)
+        ref = [reference_lower_bound(p, t) for t in ts]
+        np.testing.assert_allclose(cap_curvature_lower_bound(p, ts), ref, rtol=1e-15, atol=0)
+
+    def test_min_and_enclosure(self, beta, delta, eps):
+        p = cs.make_profile(beta, delta, eps)
+        ref_min = min(reference_mean_curvature(p, t) for t in np.linspace(0.0, p.t_eps, 256))
+        assert cs.min_cap_curvature(p, 256) == pytest.approx(ref_min, rel=1e-15, abs=0)
+        field = cs.CurvatureField("radial", c=0.05)
+        rep = cs.check_enclosure_curvature(p, field)
+        ts = np.concatenate([np.linspace(0.0, p.t_eps, 256),
+                             np.linspace(p.t_eps, 10.0 * p.t_eps, 256)[1:]])
+        ref_margin = min(
+            reference_mean_curvature(p, t)
+            - float(np.max(np.abs(field.eval(cs.profile_point(
+                p, max(t, 1e-6 * p.t_eps), np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))))))
+            for t in ts
+        )
+        assert rep["margin"] == pytest.approx(ref_margin, rel=1e-15, abs=0)
+
+    def test_junction_jumps_from_written_out_quartic(self, beta, delta, eps):
+        p = cs.make_profile(beta, delta, eps)
+        t, cos_o = p.t_eps, np.cos(p.opening)
+        ref = {
+            "value": p.a_eps * t**4 + p.b_eps * t**2 + p.c_eps - cos_o * t,
+            "first": 4.0 * p.a_eps * t**3 + 2.0 * p.b_eps * t - cos_o,
+            "second": 12.0 * p.a_eps * t**2 + 2.0 * p.b_eps,
+        }
+        jumps = cs.junction_jumps(p)
+        for key, scale in (("value", t), ("first", 1.0), ("second", abs(p.b_eps))):
+            assert abs(jumps[key] - ref[key]) <= 1e-15 * scale
+
+    def test_scalar_t_gives_float(self, beta, delta, eps):
+        p = cs.make_profile(beta, delta, eps)
+        for t in (0, 0.0, 0.5 * p.t_eps, np.float64(2.0 * p.t_eps)):
+            h = profile_mean_curvature(p, t)
+            assert type(h) is float
+            assert h == pytest.approx(reference_mean_curvature(p, t), rel=1e-15, abs=0)
+            assert type(cap_curvature_lower_bound(p, t)) is float
+        assert type(cs.min_cap_curvature(p)) is float
+
 
 class TestMinCapCurvature:
     def setup_method(self):

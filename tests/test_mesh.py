@@ -87,20 +87,20 @@ class TestOperators:
         np.testing.assert_allclose(m.weighted_mass(w).toarray(), ref, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(m.weighted_mass(1.0).toarray(), m.mass.toarray())
 
-    def test_triangle_gradients_linear_exact(self):
+    def test_derivative_operators_linear_exact(self):
         m = cs.build_disk_mesh(6, 16)
         f = 2.0 * m.vertices[:, 0] - 3.0 * m.vertices[:, 1] + 0.5
-        g = m.triangle_gradients(f)
+        g = np.column_stack([m.d_u @ f, m.d_v @ f])
         np.testing.assert_allclose(g, np.tile([2.0, -3.0], (len(m.triangles), 1)), atol=1e-12)
 
-    def test_triangle_gradients_vector_field(self):
+    def test_derivative_operators_vector_field(self):
         m = cs.build_disk_mesh(6, 16)
         F = np.stack([m.vertices[:, 0], m.vertices[:, 1], m.vertices[:, 0] + m.vertices[:, 1]], axis=1)
-        g = m.triangle_gradients(F)
-        assert g.shape == (len(m.triangles), 2, 3)
-        np.testing.assert_allclose(g[:, 0, 0], 1.0, atol=1e-12)
-        np.testing.assert_allclose(g[:, 1, 0], 0.0, atol=1e-12)
-        np.testing.assert_allclose(g[:, 0, 2], 1.0, atol=1e-12)
+        g_u, g_v = m.d_u @ F, m.d_v @ F
+        assert g_u.shape == g_v.shape == (len(m.triangles), 3)
+        np.testing.assert_allclose(g_u[:, 0], 1.0, atol=1e-12)
+        np.testing.assert_allclose(g_v[:, 0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(g_u[:, 2], 1.0, atol=1e-12)
 
     def test_second_derivatives_quadratic_exact(self):
         m = cs.build_disk_mesh(10, 32)
@@ -142,8 +142,8 @@ class TestTriangleOperators:
         ref = np.einsum("tkd,tkc->tdc", m.grad_coeffs, X[m.triangles])
         _close(m.d_u @ X, ref[:, 0])
         _close(m.d_v @ X, ref[:, 1])
-        _close(m.triangle_gradients(X), ref)
-        _close(m.triangle_gradients(X[:, 0]), ref[:, :, 0])
+        _close(m.d_u @ X[:, 0], ref[:, 0, 0])
+        _close(m.d_v @ X[:, 0], ref[:, 1, 0])
 
     def test_load_operator(self, n_r, n_theta):
         m = cs.build_disk_mesh(n_r, n_theta)

@@ -112,11 +112,9 @@ class TestDefectAndEnergies:
 
 
 def two_pass_energies(state, field):
-    """F and G each with its own quadrature of the Q coupling, from the
-    stacked triangle gradients."""
+    """F and G each with its own quadrature of the Q coupling."""
     mesh = state.mesh
-    g = mesh.triangle_gradients(state.X)
-    xu, xv = g[:, 0, :], g[:, 1, :]
+    xu, xv = mesh.d_u @ state.X, mesh.d_v @ state.X
 
     def q_term():
         if field.family == "zero":
@@ -328,8 +326,7 @@ def relifting_solve(mesh, curve, field, config):
         return X
 
     def interior_load(X, level_field):
-        grad = mesh.triangle_gradients(X)
-        w = np.cross(grad[:, 0, :], grad[:, 1, :])
+        w = np.cross(mesh.d_u @ X, mesh.d_v @ X)
         h = level_field.eval(mesh.centroid_op @ X)
         return -(mesh.load_op @ (2.0 * h[:, None] * w))[mesh.interior]
 
