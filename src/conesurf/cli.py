@@ -1,5 +1,11 @@
 """Command-line pipeline: `solve`, `verify`, `check-domain`, `profile-cone`.
 
+`solve` and `verify` build the same problem from the config: the cone's
+beta, the validated curve Gamma, the field and the mesh.  Both place the
+boundary ring at equal arclength along Gamma, so `verify` reads only the
+config and the OBJ surface; `solve.json` is a record of the solve, not
+an input.  Every config object is closed: an unknown key exits 2.
+
 Exit codes: 0 success, 2 invalid configuration, 3 solver failure,
 4 verification failure.  All reports are JSON with `"schema": 1`;
 meshes are OBJ, tables CSV.  The orchestration is sequential, so
@@ -8,6 +14,7 @@ for interface compatibility and `1` is always honored.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -41,7 +48,8 @@ from .errors import (
 )
 from .fields import CurvatureField
 from .mesh import build_disk_mesh
-from .solver import SolveConfig, SurfaceState, conformality_defect, energies, solve
+from .solver import (SolveConfig, SurfaceState, arclength_parametrization,
+                     conformality_defect, energies, solve)
 from .verifier import domain_grid, extract_radial_graph, verify_surface
 
 EXIT_OK = 0
@@ -64,7 +72,7 @@ def _require(block, key, kind=None):
 
 
 def parse_beta(config):
-    cone = _require(config, "cone", dict)
+    cone = _block(config, "cone", required=True)
     beta = _real(_require(cone, "beta"), "cone", "beta")
     if not (0.0 < beta < np.pi / 2):
         raise ConfigInvalid(f"beta {beta} not in (0, pi/2)")
@@ -75,7 +83,7 @@ def parse_profiles(config, beta):
     """(delta, eps_list) of the cone block: delta a finite real with
     beta + delta in (0, pi/2), select_delta(beta) when absent; eps_list a
     non-empty list of positive reals."""
-    cone = _require(config, "cone", dict)
+    cone = _block(config, "cone", required=True)
     delta = cone.get("delta")
     if delta is None:
         delta = select_delta(beta)
@@ -98,19 +106,16 @@ def parse_boundary(config):
     """(boundary, g) of the boundary block.  OutOfRange from building them,
     such as a Fourier order above the cap or a profile leaving (0, pi/2),
     is a config error."""
-    block = _require(config, "boundary", dict)
-    kind = block.get("type", "cap")
-    if kind not in ("cap", "perturbed_cap"):
+    kind = _require(config, "boundary", dict).get("type", "cap")
+    if f"{kind} boundary" not in KNOWN_KEYS:
         raise ConfigInvalid(f"unknown boundary type {kind!r}")
+    block = _block(config, "boundary", what=f"{kind} boundary")
     alpha_c = _real(_require(block, "alpha_c"), "boundary", "alpha_c")
     if not 0.0 < alpha_c < np.pi / 2:
         raise ConfigInvalid(f"boundary key 'alpha_c' {alpha_c} not in (0, pi/2)")
-    gd = block.get("g", {"const": 1.0})
-    if not isinstance(gd, dict):
-        raise ConfigInvalid(f"boundary key 'g' must be an object, got {gd!r}")
+    gd = _block(block, "g", what="boundary g") if "g" in block else {"const": 1.0}
     try:
-        boundary = SphericalBoundary(
-            _fourier(alpha_c, block if kind == "perturbed_cap" else {}, "boundary"))
+        boundary = SphericalBoundary(_fourier(alpha_c, block, "boundary"))
         g = _fourier(_real(gd.get("const", 0.0), "boundary g", "const"), gd, "boundary g")
     except OutOfRange as exc:
         raise ConfigInvalid(f"bad boundary block: {exc}") from exc
@@ -119,24 +124,34 @@ def parse_boundary(config):
 
 def parse_field(config):
     block = _require(config, "field", dict)
-    try:
-        return CurvatureField.from_dict(block)
-    except (KeyError, TypeError, ConesurfError) as exc:
-        raise ConfigInvalid(f"bad field block: {exc}") from exc
+    _require(block, "family")
+    return _built("field", CurvatureField.from_dict, block)
 
 
-def _block(config, key):
-    """The optional object `key` of the config, {} when absent."""
-    block = config.get(key, {})
+def _block(parent, key, what=None, required=False):
+    """The object parent[key], {} when absent and not required; each of its
+    keys must be one of KNOWN_KEYS[what], `what` defaulting to key."""
+    block = _require(parent, key, dict) if required else parent.get(key, {})
     if not isinstance(block, dict):
         raise ConfigInvalid(f"config key {key!r} has wrong type")
+    _known(block, what or key)
     return block
 
 
+def _built(what, build, *args, **kwargs):
+    """build(*args, **kwargs); an OutOfRange from it is a config error in
+    block `what`."""
+    try:
+        return build(*args, **kwargs)
+    except OutOfRange as exc:
+        raise ConfigInvalid(f"bad {what} block: {exc}") from exc
+
+
 def _is_real(value):
-    """True for a finite int or float; bools are not numbers here."""
+    """True for a finite int or float; bools are not numbers here, and the
+    comparison also rejects NaN and ints beyond the float range."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and bool(np.isfinite(value)))
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 def _real(value, what, key):
@@ -181,6 +196,28 @@ VERIFY_KINDS = {
     "stability_tol": float,
 }
 
+# The keys each config object may hold; "config" is the root, and the
+# "<type> boundary" entries name the boundary types.  The field block's
+# keys are its family's parameters, which CurvatureField checks.
+KNOWN_KEYS = {
+    "config": ("cone", "boundary", "field", "mesh", "solver", "verify", "output"),
+    "cone": ("beta", "delta", "eps_list"),
+    "cap boundary": ("type", "alpha_c", "g"),
+    "perturbed_cap boundary": ("type", "alpha_c", "g", "cos", "sin"),
+    "boundary g": ("const", "cos", "sin"),
+    "mesh": ("n_r", "n_theta"),
+    "solver": tuple(f.name for f in dataclasses.fields(SolveConfig)),
+    "verify": tuple(VERIFY_KINDS),
+    "output": ("surface_obj", "solve_log", "report", "radial_graph_csv", "profile_csv"),
+}
+
+
+def _known(block, what):
+    """Reject the first key of block that KNOWN_KEYS[what] lacks."""
+    for key in block:
+        if key not in KNOWN_KEYS[what]:
+            raise ConfigInvalid(f"unknown {what} key {key!r}")
+
 
 def parse_verify(config, **defaults):
     """{key: value} of the `verify` block for each key in defaults, the
@@ -191,17 +228,38 @@ def parse_verify(config, **defaults):
 
 
 def parse_solver(config):
-    block = config.get("solver", {})
-    try:
-        return SolveConfig(**block)
-    except (TypeError, ConesurfError) as exc:
-        raise ConfigInvalid(f"bad solver block: {exc}") from exc
+    return _built("solver", SolveConfig, **_block(config, "solver"))
+
+
+def parse_output(config, out_dir, **defaults):
+    """{key: out_dir / name} for each key in defaults, the `output` block's
+    name standing in for the default; every name there is a non-empty
+    string."""
+    block = _block(config, "output")
+    for key, name in block.items():
+        if not (isinstance(name, str) and name):
+            raise ConfigInvalid(f"output key {key!r} must be a non-empty string, got {name!r}")
+    return {key: Path(out_dir) / block.get(key, default) for key, default in defaults.items()}
+
+
+def build_problem(config):
+    """(beta, curve, field, mesh) of a solve or verify run: the cone's
+    beta, the curve Gamma validated against the cone, the field and the
+    mesh.  An OutOfRange from building the curve or the mesh, such as a
+    radial factor g <= 0, is a config error."""
+    beta = parse_beta(config)
+    boundary, g = parse_boundary(config)
+    field = parse_field(config)
+    n_r, n_theta = parse_mesh(config)
+    curve = _built("boundary", build_curve, boundary, g, beta)
+    return beta, curve, field, _built("mesh", build_disk_mesh, n_r, n_theta)
 
 
 def load_config(path):
     cfg = io.read_json(path)
     if not isinstance(cfg, dict):
         raise ConfigInvalid("config root must be a JSON object")
+    _known(cfg, "config")
     return cfg
 
 
@@ -210,27 +268,17 @@ def load_config(path):
 
 
 def run_solve(config, out_dir):
-    beta = parse_beta(config)
-    boundary, g = parse_boundary(config)
-    field = parse_field(config)
-    n_r, n_theta = parse_mesh(config)
     solve_cfg = parse_solver(config)
-    out = _block(config, "output")
-    curve = build_curve(boundary, g, beta)
-    try:
-        mesh = build_disk_mesh(n_r, n_theta)
-    except OutOfRange as exc:
-        raise ConfigInvalid(f"bad mesh block: {exc}") from exc
+    paths = parse_output(config, out_dir, surface_obj="surface.obj", solve_log="solve.json")
+    beta, curve, field, mesh = build_problem(config)
     state = solve(mesh, curve, field, solve_cfg)
 
-    obj_path = Path(out_dir) / out.get("surface_obj", "surface.obj")
-    log_path = Path(out_dir) / out.get("solve_log", "solve.json")
-    io.write_obj(obj_path, state.X, mesh.triangles)
+    io.write_obj(paths["surface_obj"], state.X, mesh.triangles)
     energy_F, energy_G = energies(state, field)
-    io.write_json(log_path, {
+    io.write_json(paths["solve_log"], {
         "schema": 1,
-        "n_r": n_r,
-        "n_theta": n_theta,
+        "n_r": mesh.n_r,
+        "n_theta": mesh.n_theta,
         "beta": beta,
         "iterations": state.iterations,
         "residual": state.residual,
@@ -246,47 +294,20 @@ def run_solve(config, out_dir):
     return EXIT_OK
 
 
-def parse_solve_log(path):
-    """(mesh, boundary_theta) named by the solve log at path.  A missing or
-    mistyped n_r, n_theta or boundary_theta, or n_theta boundary parameters
-    that are not n_theta many, is an artifact error."""
-    log = io.read_json(path)
-    what = f"solve log {path}"
-    if not isinstance(log, dict):
-        raise ConfigInvalid(f"{what} is not a JSON object")
-    for key in ("n_r", "n_theta", "boundary_theta"):
-        if key not in log:
-            raise ConfigInvalid(f"{what} lacks key {key!r}")
-    n_r = _typed(log, what, "n_r", None, int)
-    n_theta = _typed(log, what, "n_theta", None, int)
-    theta = _reals(log["boundary_theta"], what, "boundary_theta")
-    if len(theta) != n_theta:
-        raise ConfigInvalid(
-            f"{what} key 'boundary_theta' has {len(theta)} entries, n_theta is {n_theta}"
-        )
-    try:
-        mesh = build_disk_mesh(n_r, n_theta)
-    except OutOfRange as exc:
-        raise ConfigInvalid(f"{what} keys 'n_r', 'n_theta': {exc}") from exc
-    return mesh, np.asarray(theta)
-
-
 def run_verify(config, out_dir, surface_path=None):
-    beta = parse_beta(config)
-    boundary, g = parse_boundary(config)
-    field = parse_field(config)
-    out = _block(config, "output")
+    paths = parse_output(config, out_dir, surface_obj="surface.obj", report="report.json",
+                         radial_graph_csv="radial_graph.csv")
     opts = parse_verify(config, grid_size=512, n_boundary=128, n_domain=1024,
                         branch_threshold=1e-6, stability_tol=1e-3, n_axes=16, n_probe=8)
-    if surface_path is None:
-        surface_path = Path(out_dir) / out.get("surface_obj", "surface.obj")
-    log_path = Path(out_dir) / out.get("solve_log", "solve.json")
-    X, faces = io.read_obj(surface_path)
-    mesh, boundary_theta = parse_solve_log(log_path)
+    # a missing surface fails before anything is built
+    X, faces = io.read_obj(paths["surface_obj"] if surface_path is None else surface_path)
+    beta, curve, field, mesh = build_problem(config)
     if len(X) != len(mesh.vertices) or not np.array_equal(faces, mesh.triangles):
         raise ConfigInvalid("surface artifact does not match the mesh block")
-    state = SurfaceState(mesh=mesh, X=X, boundary_theta=boundary_theta)
+    state = SurfaceState(mesh=mesh, X=X,
+                         boundary_theta=arclength_parametrization(curve, mesh.n_theta))
 
+    boundary = curve.boundary
     axis_map = AxisMap(
         boundary, beta, n_boundary=opts["n_boundary"], n_domain=opts["n_domain"],
     )
@@ -300,16 +321,13 @@ def run_verify(config, out_dir, surface_path=None):
     )
     payload = report.to_dict()
     payload["beta_convexity_margin"] = axis_map.margin
-    io.write_json(Path(out_dir) / out.get("report", "report.json"), payload)
+    io.write_json(paths["report"], payload)
 
-    # radial-graph CSV table over a structured grid
+    # radial-graph CSV table over domain_grid's seeded random sample of the domain
     grid = domain_grid(boundary, opts["grid_size"])
     lam = extract_radial_graph(state, grid)
     rows = np.column_stack([np.arctan2(grid[:, 1], grid[:, 0]), np.arccos(grid[:, 2]), lam])
-    io.write_csv(
-        Path(out_dir) / out.get("radial_graph_csv", "radial_graph.csv"),
-        ("theta", "phi", "lambda"), rows,
-    )
+    io.write_csv(paths["radial_graph_csv"], ("theta", "phi", "lambda"), rows)
 
     return EXIT_OK if report.all_passed else EXIT_VERIFY
 
@@ -317,7 +335,7 @@ def run_verify(config, out_dir, surface_path=None):
 def run_check_domain(config, out_dir):
     beta = parse_beta(config)
     boundary, _ = parse_boundary(config)
-    out = _block(config, "output")
+    paths = parse_output(config, out_dir, report="domain_report.json")
     opts = parse_verify(config, n_boundary=256, n_domain=2048)
     n_boundary, n_domain = opts["n_boundary"], opts["n_domain"]
     convex = is_convex(boundary, n_boundary, n_domain)
@@ -342,7 +360,7 @@ def run_check_domain(config, out_dir):
         "n_domain": n_domain,
         "pass": bool(flag and convex and orient == -1),
     }
-    io.write_json(Path(out_dir) / out.get("report", "domain_report.json"), payload)
+    io.write_json(paths["report"], payload)
     return EXIT_OK if payload["pass"] else EXIT_VERIFY
 
 
@@ -353,7 +371,8 @@ def run_profile_cone(config, out_dir):
     if "field" in config:
         field = parse_field(config)
 
-    out = _block(config, "output")
+    paths = parse_output(config, out_dir, profile_csv="profile.csv",
+                         report="profile_report.json")
     reports = []
     tables = []
     mins = []
@@ -391,11 +410,9 @@ def run_profile_cone(config, out_dir):
             for r in reports
         ),
     }
-    io.write_csv(
-        Path(out_dir) / out.get("profile_csv", "profile.csv"),
-        ("eps", "t", "alpha1", "alpha2", "H_S"), np.vstack(tables),
-    )
-    io.write_json(Path(out_dir) / out.get("report", "profile_report.json"), payload)
+    io.write_csv(paths["profile_csv"], ("eps", "t", "alpha1", "alpha2", "H_S"),
+                 np.vstack(tables))
+    io.write_json(paths["report"], payload)
     return EXIT_OK if payload["pass"] else EXIT_VERIFY
 
 

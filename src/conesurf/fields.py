@@ -15,9 +15,13 @@ H(t p) = t^(-k) H(p) for t > 0:
 float and a (3,) gradient, points (n, 3) give (n,) values and (n, 3)
 gradients.  Every family is linear in its strength parameters (h0, c, a),
 so a scaled field is again a `CurvatureField`.  By homogeneity the vector
-potential is Q(p) = H(p) p / (3 - k), finite only for k < 3 (s < 2 for
-the power family).
+potential is Q(p) = H(p) p / (3 - k), finite only for k < 3, so a power
+field needs s < 2.  A field takes exactly its family's parameters (see
+`PARAMS`), each a finite real number.
 """
+
+import numbers
+import sys
 
 import numpy as np
 
@@ -32,10 +36,23 @@ class CurvatureField:
     """Mean curvature field H with closed-form gradient."""
 
     def __init__(self, family, **params):
+        if not isinstance(family, str) or family not in PARAMS:
+            raise OutOfRange(f"unknown field family {family!r}")
+        for name in params:
+            if name not in PARAMS[family]:
+                raise OutOfRange(f"{family} field has no parameter {name!r}")
+        for name in PARAMS[family]:
+            value = params.get(name)
+            # the comparison also rejects NaN and ints beyond the float range
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not -sys.float_info.max <= value <= sys.float_info.max):
+                raise OutOfRange(f"{family} field parameter {name!r} must be a finite"
+                                 f" real number, got {value!r}")
         self.family = family
         self.params = dict(params)
-        if family not in ("zero", "constant", "radial", "power", "modulated"):
-            raise OutOfRange(f"unknown field family {family!r}")
+        if _homogeneity(self) >= 3.0:
+            raise OutOfRange(f"{family} field parameter 's' = {params['s']!r} >= 2:"
+                             " its potential Q diverges")
 
     def eval(self, p):
         """H at one point (3,) -> float, or at points (n, 3) -> (n,)."""
@@ -91,6 +108,16 @@ class CurvatureField:
         return f"CurvatureField({self.family!r}, {self.params})"
 
 
+# the parameters of each family
+PARAMS = {
+    "zero": (),
+    "constant": ("h0",),
+    "radial": ("c",),
+    "power": ("c", "s"),
+    "modulated": ("c", "a"),
+}
+
+
 def _homogeneity(field):
     """k with H(t p) = t^(-k) H(p) for t > 0."""
     if field.family in ("zero", "constant"):
@@ -104,15 +131,12 @@ def build_potential_Q(field, p):
     """Vector potential Q(p) = (int_0^1 H(t p) t^2 dt) p, so div Q = H.
 
     For a field homogeneous of degree -k the integral is H(p) / (3 - k),
-    finite only when k < 3.  Takes (3,) or (n, 3) like `field.eval`.
+    finite since a field has k < 3.  Takes (3,) or (n, 3) like `field.eval`.
     """
     p = np.asarray(p, dtype=float)
     if np.any(np.linalg.norm(p, axis=-1) <= 0.0):
         raise OutOfRange("Q is undefined at the origin")
-    k = _homogeneity(field)
-    if k >= 3.0:
-        raise OutOfRange(f"Q diverges for a field of homogeneity degree {k} >= 3")
-    return (np.asarray(field.eval(p)) / (3.0 - k))[..., None] * p
+    return (np.asarray(field.eval(p)) / (3.0 - _homogeneity(field)))[..., None] * p
 
 
 def check_growth(field, beta, samples):

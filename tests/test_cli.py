@@ -144,6 +144,28 @@ class TestSolveAndVerify:
             reports.append((tmp_path / "report.json").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_verify_reads_no_solve_log(self, tmp_path):
+        # the boundary parameters and the mesh follow from the config
+        cfg_path = write_config(tmp_path, solve_config())
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        first = {name: (tmp_path / name).read_bytes()
+                 for name in ("report.json", "radial_graph.csv")}
+        (tmp_path / "solve.json").unlink()
+        assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        for name, data in first.items():
+            assert (tmp_path / name).read_bytes() == data
+
+    @pytest.mark.parametrize("mesh", [{"n_r": 10, "n_theta": 24}, {"n_r": 24, "n_theta": 12}],
+                             ids=["fewer_vertices", "same_vertex_count"])
+    def test_verify_rejects_config_mesh_other_than_surface(self, tmp_path, capsys, mesh):
+        cfg_path = write_config(tmp_path, solve_config())
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        bad_path = write_config(tmp_path, solve_config(mesh=mesh), name="bad.json")
+        assert cli.main(["verify", "--config", bad_path, "--out", str(tmp_path)]) == 2
+        assert "mesh block" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_verify_rejects_faces_not_of_the_mesh(self, tmp_path):
         cfg_path = write_config(tmp_path, solve_config())
         cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)])
@@ -367,34 +389,6 @@ class TestExitCodes:
             assert rc == 2
             assert f"'{block}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [
-        ("n_r", None), ("n_theta", None), ("boundary_theta", None),
-        ("n_r", "12"), ("n_r", 12.0), ("n_theta", True), ("n_r", 2),
-        ("boundary_theta", "x"), ("boundary_theta", ["a"] * 24),
-        ("boundary_theta", [0.0] * 23),
-    ], ids=["no_n_r", "no_n_theta", "no_boundary_theta", "n_r_string", "n_r_float",
-            "n_theta_bool", "n_r_below_minimum", "theta_string", "theta_strings",
-            "theta_short"])
-    def test_bad_solve_log_is_artifact_error(self, tmp_path, capsys, key, value):
-        cfg_path = write_config(tmp_path, solve_config())
-        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
-        log = json.loads((tmp_path / "solve.json").read_text())
-        if value is None:
-            del log[key]
-        else:
-            log[key] = value
-        io.write_json(tmp_path / "solve.json", log)
-        assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 2
-        assert f"'{key}'" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
-
-    def test_solve_log_not_an_object(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, solve_config())
-        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
-        io.write_json(tmp_path / "solve.json", [12, 24])
-        assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 2
-        assert "solve log" in capsys.readouterr().err
-
     @pytest.mark.parametrize("block,key,value,named", [
         ("cone", "beta", "x", "'beta'"), ("cone", "beta", [1], "'beta'"),
         ("cone", "beta", True, "'beta'"),
@@ -406,6 +400,7 @@ class TestExitCodes:
         ("boundary", "g", {"const": 1.0, "cos": "x"}, "'cos'"),
         ("boundary", "cos", [0.01] * 9, "Fourier order"),
         ("boundary", "cos", [0.9], "colatitude"),
+        ("boundary", "type", "disk", "boundary type 'disk'"),
     ])
     def test_mistyped_cone_or_boundary_key_rejected(self, tmp_path, capsys, block, key,
                                                     value, named):
@@ -417,6 +412,89 @@ class TestExitCodes:
             assert named in capsys.readouterr().err
         assert not (tmp_path / "surface.obj").exists()
         assert not (tmp_path / "domain_report.json").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_nonpositive_radial_factor_is_config_error(self, tmp_path, capsys, command):
+        if command == "verify":
+            good_path = write_config(tmp_path, solve_config())
+            assert cli.main(["solve", "--config", good_path, "--out", str(tmp_path)]) == 0
+            (tmp_path / "solve.json").unlink()
+        cfg = solve_config()
+        cfg["boundary"]["g"] = {"const": -1.0}
+        bad_path = write_config(tmp_path, cfg, name="bad.json")
+        assert cli.main([command, "--config", bad_path, "--out", str(tmp_path)]) == 2
+        assert "bad boundary block: radial factor g" in capsys.readouterr().err
+        written = {p.name for p in tmp_path.iterdir()} - {"config.json", "bad.json"}
+        assert written == ({"surface.obj"} if command == "verify" else set())
+
+    @pytest.mark.parametrize("commands,path,key", [
+        (("solve", "verify", "profile-cone"), (), "meshes"),
+        (("solve", "verify"), ("cone",), "bta"),
+        (("profile-cone",), ("cone",), "Eps_list"),
+        (("solve", "verify"), ("boundary",), "G"),
+        (("solve", "verify", "check-domain"), ("boundary",), "cos"),
+        (("solve", "verify"), ("boundary", "g"), "Cos"),
+        (("solve", "verify"), ("mesh",), "n_rings"),
+        (("verify", "check-domain"), ("verify",), "grid"),
+        (("solve", "verify"), ("output",), "surface"),
+    ], ids=["root", "cone", "cone_profile", "boundary", "cap_cos", "boundary_g", "mesh",
+            "verify", "output"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, commands, path, key):
+        good_path = write_config(tmp_path, solve_config(), name="good.json")
+        assert cli.main(["solve", "--config", good_path, "--out", str(tmp_path)]) == 0
+        cfg = solve_config(output={})
+        cfg["boundary"]["g"] = {"const": 1.0}
+        if key == "cos":  # cos and sin belong to a perturbed_cap only
+            cfg["boundary"]["type"] = "cap"
+        block = cfg
+        for name in path:
+            block = block[name]
+        block[key] = [0.3]
+        bad_path = write_config(tmp_path, cfg, name="bad.json")
+        for cmd in commands:
+            assert cli.main([cmd, "--config", bad_path, "--out", str(tmp_path)]) == 2
+            assert f"key '{key}'" in capsys.readouterr().err
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "good.json", "bad.json", "surface.obj", "solve.json"}
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "check-domain", "profile-cone"])
+    @pytest.mark.parametrize("value", [5, "", None], ids=["int", "empty", "null"])
+    def test_output_name_must_be_nonempty_string(self, tmp_path, capsys, command, value):
+        cfg_path = write_config(tmp_path, solve_config(output={"report": value}))
+        assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "'report'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("field,key", [
+        ({"family": "radial"}, "'c'"),
+        ({"family": "radial", "c": "abc"}, "'c'"),
+        ({"family": "radial", "c": True}, "'c'"),
+        ({"family": "radial", "c": float("nan")}, "'c'"),
+        ({"family": "radial", "c": 0.1, "s": 0.5}, "'s'"),
+        ({"family": "zero", "c": 0.1}, "'c'"),
+        ({"family": "constant"}, "'h0'"),
+        ({"family": "power", "c": 0.01, "s": 2.0}, "'s'"),
+        ({"family": "power", "c": 0.01}, "'s'"),
+        ({"family": "radial", "c": 10**400}, "'c'"),
+        ({"family": "modulated", "c": 0.1, "a": [0.05]}, "'a'"),
+        ({"family": ["radial"], "c": 0.1}, "family"),
+        ({"c": 0.1}, "'family'"),
+    ], ids=["radial_no_c", "c_string", "c_bool", "c_nan", "radial_s", "zero_c",
+            "constant_no_h0", "power_s_2", "power_no_s", "c_huge_int", "a_list",
+            "family_list", "no_family"])
+    def test_bad_field_parameter_rejected(self, tmp_path, capsys, field, key):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(solve_config(field=field)))
+        for command in ("solve", "profile-cone"):
+            assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+            assert key in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["solve", "check-domain", "profile-cone"])
+    def test_integer_beyond_float_range_rejected(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path, solve_config(cone={"beta": 10**400}))
+        assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "'beta'" in capsys.readouterr().err
 
     def test_curve_leaving_cone_is_verification_failure(self, tmp_path, capsys):
         # a hypothesis of the theory fails, not the config's form

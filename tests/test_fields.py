@@ -215,3 +215,21 @@ class TestSerialization:
     def test_unknown_family(self):
         with pytest.raises(OutOfRange):
             cs.CurvatureField("hyperbolic", c=1.0)
+
+    @pytest.mark.parametrize("family,params,named", [
+        ("radial", {}, "'c'"),
+        ("radial", {"c": 0.1, "a": 0.1}, "'a'"),
+        ("zero", {"h0": 0.0}, "'h0'"),
+        ("power", {"c": 0.1, "s": np.inf}, "'s'"),
+        ("modulated", {"c": 0.1, "a": False}, "'a'"),
+        ("constant", {"h0": "0.5"}, "'h0'"),
+    ])
+    def test_family_parameters_checked(self, family, params, named):
+        with pytest.raises(OutOfRange, match=named):
+            cs.CurvatureField(family, **params)
+
+    @pytest.mark.parametrize("family", sorted(cs.fields.PARAMS))
+    def test_family_takes_its_parameters(self, family):
+        field = cs.CurvatureField(family, **{name: 0.1 for name in cs.fields.PARAMS[family]})
+        p = np.array([0.3, 0.4, 1.0])
+        assert np.isfinite(field.eval(p)) and np.all(np.isfinite(field.grad(p)))
