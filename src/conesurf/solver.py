@@ -2,15 +2,25 @@
 
 The vector PDE  Delta X = 2 H(X) X_u ^ X_v  with Dirichlet data X = Gamma
 on the boundary ring is discretized with P1 finite elements on the polar
-disk mesh and solved by Picard iteration: one sparse Laplace solve per
-step with the right-hand side frozen at the previous iterate, plus
+disk mesh and solved as the fixed point of the Picard map G: one sparse
+Laplace solve with the right-hand side frozen at the current iterate, plus
 continuation in the field strength to stay in the contraction regime of
 the radial growth bound.
+
+Each step is a type-II Anderson step (Walker & Ni 2011) of depth
+ANDERSON_DEPTH on the interior unknowns: it mixes the last Picard images
+by a small least-squares fit of their residuals G(x) - x, with the run's
+damping as mixing weight, so a step without history is the damped Picard
+step (1 - damping) x + damping G(x).  The history is cleared whenever
+||G(x) - x||_2 grows.
 
 Each continuation level starts undamped.  A level stalls when an update is
 not below the update STALL_WINDOW steps earlier, or is not finite; it then
 restarts from its starting iterate with the damping halved, and after
-MAX_HALVINGS halvings the solve raises NoConvergence.
+MAX_HALVINGS halvings the solve raises NoConvergence.  The halvings are
+the fallback where undamped Anderson steps stall, as for the modulated and
+power fields at 3 c_beta.  An iterate that leaves the domain of the field
+also ends the solve with NoConvergence.
 
 Only the final level is driven to config.update_tol.  A level before it
 only seeds the next one, so it stops once its update is at most
@@ -20,11 +30,12 @@ jump between levels (q the contraction per step), which the next level's
 first steps remove.
 
 Each quantity that is fixed for a solve is computed once: the interior
-stiffness LU, the Dirichlet lift -K_ib g of the boundary values g and an
-iterate template holding g on the boundary ring are built when the solve
-starts, so a Picard step is one right-hand-side assembly and one LU
-back-solve.  `energies` returns F and G together from one quadrature of
-their shared Q coupling.
+stiffness LU (in minimum-degree ordering), the Dirichlet lift -K_ib g of the
+boundary values g and an iterate template holding g on the boundary ring
+are built when the solve starts, so a step is one right-hand-side assembly,
+one LU back-solve and one least-squares fit with at most ANDERSON_DEPTH
+columns.  `energies` returns F and G together from one quadrature of their
+shared Q coupling.
 
 The boundary ring is placed at equal arclength along Gamma and stays
 there.  F is not minimized over the monotone reparametrizations of the
@@ -46,12 +57,13 @@ STALL_WINDOW = 20   # steps between the two updates a stall test compares
 LEVEL_REDUCTION = 1e-2  # intermediate level stops at this share of its first update
 MAX_HALVINGS = 3    # damping halvings on a stalled level before failing
 CONTRACTION_WINDOW = 5  # trailing update ratios in a contraction estimate
+ANDERSON_DEPTH = 5  # Picard images mixed by one Anderson step
 
 
 @dataclass
 class SolveConfig:
     max_iters: int = 200
-    damping: float = 1.0            # initial relaxation of every level
+    damping: float = 1.0            # initial mixing weight of every level
     residual_tol: float = 1e-8
     update_tol: float = 1e-11
     continuation_steps: int = 4
@@ -155,18 +167,64 @@ class _DiskSystem:
         self.mesh = mesh
         K = mesh.stiffness.tocsc()
         self.interior = mesh.interior
-        self.lu = splu(K[np.ix_(self.interior, self.interior)])
+        self.lu = splu(K[np.ix_(self.interior, self.interior)],
+                       permc_spec="MMD_AT_PLUS_A")
         self.lift = -(K[np.ix_(self.interior, mesh.boundary)] @ boundary_values)
         self.template = np.zeros((len(mesh.vertices), boundary_values.shape[1]))
         self.template[mesh.boundary] = boundary_values
 
-    def solve_dirichlet(self, rhs_interior=None):
-        """Solve K X = b with X = g on the boundary ring; b is zero on the
-        interior unless rhs_interior is given."""
+    def solve_interior(self, rhs_interior=None):
+        """Interior values of the solution of K X = b with X = g on the
+        boundary ring; b is zero on the interior unless rhs_interior is
+        given."""
         rhs = self.lift if rhs_interior is None else self.lift + rhs_interior
+        return self.lu.solve(rhs)
+
+    def embed(self, x):
+        """Iterate with interior values x and g on the boundary ring."""
         X = self.template.copy()
-        X[self.interior] = self.lu.solve(rhs)
+        X[self.interior] = x
         return X
+
+
+class _Anderson:
+    """Type-II Anderson mixing of depth ANDERSON_DEPTH for x = G(x) on n
+    unknowns with mixing weight `damping`.  The differences of the last
+    residuals f = G(x) - x and images G(x) are kept in preallocated
+    columns; a step fits f by them in least squares and extrapolates both
+    x and G(x) by the fit.  The history is cleared when ||f||_2 grows, and
+    a step without history is (1 - damping) x + damping G(x)."""
+
+    def __init__(self, n, damping):
+        self.damping = damping
+        self.dF = np.empty((n, ANDERSON_DEPTH), order="F")
+        self.dG = np.empty((n, ANDERSON_DEPTH), order="F")
+        self.f = self.g = None  # f and G(x) of the previous step
+        self.norm = np.inf      # ||f||_2 of the previous step
+        self.count = 0          # history columns held
+        self.next = 0           # column the next difference goes to
+
+    def step(self, x, gx):
+        """The iterate after x, given its Picard image gx (same shape),
+        which is kept for the next step and must not change."""
+        g = gx.reshape(-1)
+        f = g - x.reshape(-1)
+        norm = float(np.linalg.norm(f))
+        if not norm <= self.norm:       # grown or not finite: restart
+            self.count = self.next = 0
+        elif self.norm < np.inf:        # not the first step
+            np.subtract(f, self.f, out=self.dF[:, self.next])
+            np.subtract(g, self.g, out=self.dG[:, self.next])
+            self.next = (self.next + 1) % ANDERSON_DEPTH
+            self.count = min(self.count + 1, ANDERSON_DEPTH)
+        self.f, self.g, self.norm = f, g, norm
+        beta = self.damping
+        x_next = (1.0 - beta) * x + beta * gx
+        if self.count:
+            dF, dG = self.dF[:, :self.count], self.dG[:, :self.count]
+            gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+            x_next -= (dG @ gamma - (1.0 - beta) * (dF @ gamma)).reshape(x.shape)
+        return x_next
 
 
 def _assemble_rhs(mesh, X, field):
@@ -205,20 +263,23 @@ def arclength_parametrization(curve, n_boundary, n_fine=4096):
 
 
 def _relax(system, field, X, damping, config, log, final):
-    """Damped Picard steps from X, appending each update to log, until the
-    update meets the level's tolerance, the steps stall or config.max_iters
-    run out.  The tolerance is config.update_tol when final (the last
-    continuation level) and max(update_tol, LEVEL_REDUCTION * first update)
-    otherwise.  Returns (X, stalled)."""
-    mesh = system.mesh
+    """Anderson-mixed Picard steps from X with mixing weight `damping`,
+    appending each update to log, until the update meets the level's
+    tolerance, the steps stall or config.max_iters run out.  The tolerance
+    is config.update_tol when final (the last continuation level) and
+    max(update_tol, LEVEL_REDUCTION * first update) otherwise.  Returns
+    (X, stalled)."""
+    mesh, interior = system.mesh, system.interior
     start = len(log)
     tol = config.update_tol
+    x = X[interior]
+    mixer = _Anderson(x.size, damping)
     for _ in range(config.max_iters):
         b, _ = _assemble_rhs(mesh, X, field)
-        X_new = system.solve_dirichlet(b[system.interior])
-        X_next = (1.0 - damping) * X + damping * X_new
-        update = float(np.max(np.abs(X_next - X)))
-        X = X_next
+        x_next = mixer.step(x, system.solve_interior(b[interior]))
+        update = float(np.max(np.abs(x_next - x)))
+        x = x_next
+        X = system.embed(x)
         log.append(update)
         if not np.isfinite(update):
             return X, True
@@ -249,11 +310,16 @@ def _picard(system, field, X0, config, log, level, final):
     last level, the only one driven to config.update_tol.  A stalled run
     restarts from X0 with the damping halved; returns (X, damping,
     contraction) of the first run that does not stall and raises
-    NoConvergence naming the level after MAX_HALVINGS halvings."""
+    NoConvergence naming the level after MAX_HALVINGS halvings, or at once
+    (residual inf) when an iterate leaves the domain of the field."""
     for halvings in range(MAX_HALVINGS + 1):
         damping = config.damping * 0.5**halvings
         start = len(log)
-        X, stalled = _relax(system, field, X0, damping, config, log, final)
+        try:
+            X, stalled = _relax(system, field, X0, damping, config, log, final)
+        except FieldOutOfDomain as exc:
+            raise NoConvergence(len(log), np.inf, level=level,
+                                damping=damping) from exc
         if not stalled:
             return X, damping, _contraction(log[start:])
     raise NoConvergence(len(log), _failure_residual(system.mesh, X, field),
@@ -282,7 +348,7 @@ def solve(mesh, curve, field, config=None):
     boundary_theta = arclength_parametrization(curve, mesh.n_theta)
 
     system = _DiskSystem(mesh, curve.points(boundary_theta))
-    X = system.solve_dirichlet()
+    X = system.embed(system.solve_interior())
 
     log, level_iterations, level_damping, level_contraction = [], [], [], []
     if getattr(field, "family", None) != "zero":

@@ -304,6 +304,25 @@ class TestExitCodes:
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 3
 
+    def test_iterate_leaving_field_domain_is_solver_failure(self, tmp_path, capsys,
+                                                            monkeypatch):
+        calls = []
+        assemble = solver._assemble_rhs
+
+        def leaves_on_second_call(mesh, X, field):
+            calls.append(1)
+            if len(calls) == 2:
+                raise solver.FieldOutOfDomain("iterate touches the origin")
+            return assemble(mesh, X, field)
+
+        monkeypatch.setattr(solver, "_assemble_rhs", leaves_on_second_call)
+        cfg_path = write_config(tmp_path, solve_config())
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "solver failure: no convergence after 1 iterations" in err
+        assert "residual inf" in err
+        assert not (tmp_path / "surface.obj").exists()
+
     @pytest.mark.parametrize("key,value", [("reparam_enabled", True), ("reparam_sweeps", 7)],
                              ids=["reparam_enabled", "reparam_sweeps"])
     def test_unread_solver_key_rejected(self, tmp_path, key, value):
