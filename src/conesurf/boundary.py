@@ -47,17 +47,6 @@ class FourierScalar:
             out = out + b * k * np.cos(k * theta)
         return out
 
-    def to_dict(self):
-        return {
-            "const": self.const,
-            "cos": list(self.cos_coeffs),
-            "sin": list(self.sin_coeffs),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d.get("const", 0.0), d.get("cos", ()), d.get("sin", ()))
-
 
 class SphericalBoundary:
     """Closed curve on S^2 given by a colatitude profile around e3."""

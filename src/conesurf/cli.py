@@ -4,9 +4,18 @@
 beta, the validated curve Gamma, the field and the mesh.  Both place the
 boundary ring at equal arclength along Gamma, so `verify` reads only the
 config and the OBJ surface; `solve.json` is a record of the solve, not
-an input.  Every config object is closed: an unknown key exits 2.
+an input.
 
-Exit codes: 0 success, 2 invalid configuration, 3 solver failure,
+Every config object is read through one table, `SCHEMA`, by one reader,
+`read`: an unknown key, a missing required key or a value of the wrong
+kind exits 2 naming the key, and absent keys take the table's defaults.
+A command reads only the blocks it uses.  Left outside the table are the
+checks that span keys (beta + delta, `eps_list`, the boundary type), the
+field's parameters (checked by `CurvatureField`), the solver's values
+(checked by `SolveConfig`) and the defaults that differ between commands
+(`check-domain`'s AxisMap sizes, each command's `report` name).
+
+Exit codes: 0 success, 2 invalid or unreadable input, 3 solver failure,
 4 verification failure.  All reports are JSON with `"schema": 1`;
 meshes are OBJ, tables CSV.  The orchestration is sequential, so
 identical configs yield bit-identical reports; `--threads` is accepted
@@ -46,7 +55,7 @@ from .errors import (
     OutOfRange,
     SignChange,
 )
-from .fields import CurvatureField
+from .fields import CurvatureField, is_real
 from .mesh import build_disk_mesh
 from .solver import (SolveConfig, SurfaceState, arclength_parametrization,
                      conformality_defect, energies, solve)
@@ -59,83 +68,81 @@ EXIT_VERIFY = 4
 
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Config schema
+
+REQUIRED = object()  # the default of a key the config must give
+
+# The kinds of config values, each (test, what a value must be, conversion).
+REAL = (is_real, "a finite real number", float)
+ANGLE = (lambda v: is_real(v) and 0.0 < v < np.pi / 2, "an angle in (0, pi/2)", float)
+REALS = (lambda v: isinstance(v, list) and all(map(is_real, v)),
+         "a list of finite real numbers", lambda v: [float(x) for x in v])
+COUNT = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+         "a positive integer", int)
+NAME = (lambda v: isinstance(v, str) and v != "", "a non-empty string", str)
+# A kind of None marks a value checked where it is used: an OBJECT when its
+# own block is read, so that a command reads only the blocks it uses, and a
+# SOLVER value by SolveConfig, the only source of the solver's keys.
+OBJECT = SOLVER = None
+
+# {object: {key: (kind, default)}} of every config object; "config" is the
+# root, and each name ends with the key its object sits under.  An absent
+# delta is select_delta(beta); the field block holds `family` and that
+# family's parameters, which CurvatureField checks.
+SCHEMA = {
+    "config": {"cone": (OBJECT, REQUIRED), "boundary": (OBJECT, REQUIRED),
+               "field": (OBJECT, REQUIRED), "mesh": (OBJECT, {}), "solver": (OBJECT, {}),
+               "verify": (OBJECT, {}), "output": (OBJECT, {})},
+    "cone": {"beta": (ANGLE, REQUIRED), "delta": (REAL, None),
+             "eps_list": (REALS, [0.1, 0.05, 0.025])},
+    "cap boundary": {"type": (NAME, "cap"), "alpha_c": (ANGLE, REQUIRED),
+                     "g": (OBJECT, {"const": 1.0})},
+    "perturbed_cap boundary": {"type": (NAME, REQUIRED), "alpha_c": (ANGLE, REQUIRED),
+                               "g": (OBJECT, {"const": 1.0}), "cos": (REALS, []),
+                               "sin": (REALS, [])},
+    "boundary g": {"const": (REAL, 0.0), "cos": (REALS, []), "sin": (REALS, [])},
+    "mesh": {"n_r": (COUNT, 24), "n_theta": (COUNT, 48)},
+    "solver": {f.name: (SOLVER, f.default) for f in dataclasses.fields(SolveConfig)},
+    "verify": {"grid_size": (COUNT, 512), "n_boundary": (COUNT, 128),
+               "n_domain": (COUNT, 1024), "n_axes": (COUNT, 16), "n_probe": (COUNT, 8),
+               "branch_threshold": (REAL, 1e-6), "stability_tol": (REAL, 1e-3)},
+    "output": {"surface_obj": (NAME, "surface.obj"), "solve_log": (NAME, "solve.json"),
+               "report": (NAME, "report.json"), "radial_graph_csv": (NAME, "radial_graph.csv"),
+               "profile_csv": (NAME, "profile.csv")},
+}
 
 
-def _require(block, key, kind=None):
-    if key not in block:
+def _object(value, key):
+    """value, which must be the config object at `key`."""
+    if value is REQUIRED:
         raise ConfigInvalid(f"missing config key {key!r}")
-    val = block[key]
-    if kind is not None and not isinstance(val, kind):
+    if not isinstance(value, dict):
         raise ConfigInvalid(f"config key {key!r} has wrong type")
-    return val
+    return value
 
 
-def parse_beta(config):
-    cone = _block(config, "cone", required=True)
-    beta = _real(_require(cone, "beta"), "cone", "beta")
-    if not (0.0 < beta < np.pi / 2):
-        raise ConfigInvalid(f"beta {beta} not in (0, pi/2)")
-    return beta
-
-
-def parse_profiles(config, beta):
-    """(delta, eps_list) of the cone block: delta a finite real with
-    beta + delta in (0, pi/2), select_delta(beta) when absent; eps_list a
-    non-empty list of positive reals."""
-    cone = _block(config, "cone", required=True)
-    delta = cone.get("delta")
-    if delta is None:
-        delta = select_delta(beta)
-    elif not 0.0 < beta + _real(delta, "cone", "delta") < np.pi / 2:
-        raise ConfigInvalid(f"cone key 'delta' {delta!r}: beta + delta not in (0, pi/2)")
-    eps_list = _reals(cone.get("eps_list", [0.1, 0.05, 0.025]), "cone", "eps_list")
-    if not eps_list or min(eps_list) <= 0.0:
-        raise ConfigInvalid(f"cone key 'eps_list' must hold positive reals, got {eps_list!r}")
-    return float(delta), eps_list
-
-
-def _fourier(const, block, what):
-    """FourierScalar with constant term const and the coefficient lists
-    block["cos"], block["sin"] (finite reals, empty when absent)."""
-    return FourierScalar(const, _reals(block.get("cos", []), what, "cos"),
-                         _reals(block.get("sin", []), what, "sin"))
-
-
-def parse_boundary(config):
-    """(boundary, g) of the boundary block.  OutOfRange from building them,
-    such as a Fourier order above the cap or a profile leaving (0, pi/2),
-    is a config error."""
-    kind = _require(config, "boundary", dict).get("type", "cap")
-    if f"{kind} boundary" not in KNOWN_KEYS:
-        raise ConfigInvalid(f"unknown boundary type {kind!r}")
-    block = _block(config, "boundary", what=f"{kind} boundary")
-    alpha_c = _real(_require(block, "alpha_c"), "boundary", "alpha_c")
-    if not 0.0 < alpha_c < np.pi / 2:
-        raise ConfigInvalid(f"boundary key 'alpha_c' {alpha_c} not in (0, pi/2)")
-    gd = _block(block, "g", what="boundary g") if "g" in block else {"const": 1.0}
-    try:
-        boundary = SphericalBoundary(_fourier(alpha_c, block, "boundary"))
-        g = _fourier(_real(gd.get("const", 0.0), "boundary g", "const"), gd, "boundary g")
-    except OutOfRange as exc:
-        raise ConfigInvalid(f"bad boundary block: {exc}") from exc
-    return boundary, g
-
-
-def parse_field(config):
-    block = _require(config, "field", dict)
-    _require(block, "family")
-    return _built("field", CurvatureField.from_dict, block)
-
-
-def _block(parent, key, what=None, required=False):
-    """The object parent[key], {} when absent and not required; each of its
-    keys must be one of KNOWN_KEYS[what], `what` defaulting to key."""
-    block = _require(parent, key, dict) if required else parent.get(key, {})
-    if not isinstance(block, dict):
-        raise ConfigInvalid(f"config key {key!r} has wrong type")
-    _known(block, what or key)
-    return block
+def read(block, what, **overrides):
+    """{key: value} of the config object `block` for each key of
+    SCHEMA[what]: a given value tested and converted by its kind, an
+    absent one at its default, overrides standing in for the table's.
+    An unknown key, a missing required key or a value of the wrong kind
+    raises ConfigInvalid naming the key."""
+    schema = SCHEMA[what]
+    for key in _object(block, what.split()[-1]):
+        if key not in schema:
+            raise ConfigInvalid(f"unknown {what} key {key!r}")
+    values = {}
+    for key, (kind, default) in schema.items():
+        value = block.get(key, overrides.get(key, default))
+        if key in block and kind is not None:
+            test, must_be, convert = kind
+            if not test(value):
+                raise ConfigInvalid(f"{what} key {key!r} must be {must_be}, got {value!r}")
+            value = convert(value)
+        elif value is REQUIRED and kind is not None:
+            raise ConfigInvalid(f"missing {what} key {key!r}")
+        values[key] = value
+    return values
 
 
 def _built(what, build, *args, **kwargs):
@@ -147,99 +154,52 @@ def _built(what, build, *args, **kwargs):
         raise ConfigInvalid(f"bad {what} block: {exc}") from exc
 
 
-def _is_real(value):
-    """True for a finite int or float; bools are not numbers here, and the
-    comparison also rejects NaN and ints beyond the float range."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and -sys.float_info.max <= value <= sys.float_info.max)
+def parse_beta(config):
+    return read(config["cone"], "cone")["beta"]
 
 
-def _real(value, what, key):
-    if not _is_real(value):
-        raise ConfigInvalid(f"{what} key {key!r} must be a finite real number, got {value!r}")
-    return float(value)
+def parse_profiles(config, beta):
+    """(delta, eps_list) of the cone block: beta + delta in (0, pi/2), and
+    eps_list a non-empty list of positive reals."""
+    cone = read(config["cone"], "cone")
+    delta, eps_list = cone["delta"], cone["eps_list"]
+    if delta is None:
+        delta = select_delta(beta)
+    elif not 0.0 < beta + delta < np.pi / 2:
+        raise ConfigInvalid(f"cone key 'delta' {delta!r}: beta + delta not in (0, pi/2)")
+    if not eps_list or min(eps_list) <= 0.0:
+        raise ConfigInvalid(f"cone key 'eps_list' must hold positive reals, got {eps_list!r}")
+    return float(delta), eps_list
 
 
-def _reals(value, what, key):
-    if not (isinstance(value, list) and all(_is_real(v) for v in value)):
-        raise ConfigInvalid(
-            f"{what} key {key!r} must be a list of finite real numbers, got {value!r}"
-        )
-    return [float(v) for v in value]
+def parse_boundary(config):
+    """(boundary, g) of the boundary block, whose `type` names its keys.
+    OutOfRange from building them, such as a Fourier order above the cap
+    or a profile leaving (0, pi/2), is a config error."""
+    block = config["boundary"]
+    kind = block.get("type", "cap") if isinstance(block, dict) else "cap"
+    if f"{kind} boundary" not in SCHEMA:
+        raise ConfigInvalid(f"unknown boundary type {kind!r}")
+    b = read(block, f"{kind} boundary")
+    g = read(b["g"], "boundary g")
+    alpha = _built("boundary", FourierScalar, b["alpha_c"], b.get("cos", []), b.get("sin", []))
+    return (_built("boundary", SphericalBoundary, alpha),
+            _built("boundary", FourierScalar, g["const"], g["cos"], g["sin"]))
 
 
-def _typed(block, what, key, default, kind):
-    """block[key] (or default) as kind: a positive int for kind int, a
-    finite real number for kind float; bools are neither."""
-    value = block.get(key, default)
-    if kind is float:
-        return _real(value, what, key)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigInvalid(f"{what} key {key!r} must be a positive integer, got {value!r}")
-    return int(value)
+def parse_field(config):
+    """CurvatureField of the field block: its `family` and that family's
+    parameters, which CurvatureField checks."""
+    params = dict(_object(config["field"], "field"))
+    if "family" not in params:
+        raise ConfigInvalid("missing field key 'family'")
+    return _built("field", CurvatureField, params.pop("family"), **params)
 
 
-def parse_mesh(config):
-    block = _block(config, "mesh")
-    return (_typed(block, "mesh", "n_r", 24, int),
-            _typed(block, "mesh", "n_theta", 48, int))
-
-
-# verify-block keys: the counts are positive integers, the thresholds finite reals
-VERIFY_KINDS = {
-    "grid_size": int,
-    "n_boundary": int,
-    "n_domain": int,
-    "n_axes": int,
-    "n_probe": int,
-    "branch_threshold": float,
-    "stability_tol": float,
-}
-
-# The keys each config object may hold; "config" is the root, and the
-# "<type> boundary" entries name the boundary types.  The field block's
-# keys are its family's parameters, which CurvatureField checks.
-KNOWN_KEYS = {
-    "config": ("cone", "boundary", "field", "mesh", "solver", "verify", "output"),
-    "cone": ("beta", "delta", "eps_list"),
-    "cap boundary": ("type", "alpha_c", "g"),
-    "perturbed_cap boundary": ("type", "alpha_c", "g", "cos", "sin"),
-    "boundary g": ("const", "cos", "sin"),
-    "mesh": ("n_r", "n_theta"),
-    "solver": tuple(f.name for f in dataclasses.fields(SolveConfig)),
-    "verify": tuple(VERIFY_KINDS),
-    "output": ("surface_obj", "solve_log", "report", "radial_graph_csv", "profile_csv"),
-}
-
-
-def _known(block, what):
-    """Reject the first key of block that KNOWN_KEYS[what] lacks."""
-    for key in block:
-        if key not in KNOWN_KEYS[what]:
-            raise ConfigInvalid(f"unknown {what} key {key!r}")
-
-
-def parse_verify(config, **defaults):
-    """{key: value} of the `verify` block for each key in defaults, the
-    default standing in for an absent key."""
-    block = _block(config, "verify")
-    return {key: _typed(block, "verify", key, default, VERIFY_KINDS[key])
-            for key, default in defaults.items()}
-
-
-def parse_solver(config):
-    return _built("solver", SolveConfig, **_block(config, "solver"))
-
-
-def parse_output(config, out_dir, **defaults):
-    """{key: out_dir / name} for each key in defaults, the `output` block's
-    name standing in for the default; every name there is a non-empty
-    string."""
-    block = _block(config, "output")
-    for key, name in block.items():
-        if not (isinstance(name, str) and name):
-            raise ConfigInvalid(f"output key {key!r} must be a non-empty string, got {name!r}")
-    return {key: Path(out_dir) / block.get(key, default) for key, default in defaults.items()}
+def parse_output(config, out_dir, **overrides):
+    """{key: out_dir / name} of the output block."""
+    names = read(config["output"], "output", **overrides)
+    return {key: Path(out_dir) / name for key, name in names.items()}
 
 
 def build_problem(config):
@@ -250,17 +210,9 @@ def build_problem(config):
     beta = parse_beta(config)
     boundary, g = parse_boundary(config)
     field = parse_field(config)
-    n_r, n_theta = parse_mesh(config)
+    mesh = read(config["mesh"], "mesh")
     curve = _built("boundary", build_curve, boundary, g, beta)
-    return beta, curve, field, _built("mesh", build_disk_mesh, n_r, n_theta)
-
-
-def load_config(path):
-    cfg = io.read_json(path)
-    if not isinstance(cfg, dict):
-        raise ConfigInvalid("config root must be a JSON object")
-    _known(cfg, "config")
-    return cfg
+    return beta, curve, field, _built("mesh", build_disk_mesh, mesh["n_r"], mesh["n_theta"])
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +220,8 @@ def load_config(path):
 
 
 def run_solve(config, out_dir):
-    solve_cfg = parse_solver(config)
-    paths = parse_output(config, out_dir, surface_obj="surface.obj", solve_log="solve.json")
+    solve_cfg = _built("solver", SolveConfig, **read(config["solver"], "solver"))
+    paths = parse_output(config, out_dir)
     beta, curve, field, mesh = build_problem(config)
     state = solve(mesh, curve, field, solve_cfg)
 
@@ -295,10 +247,8 @@ def run_solve(config, out_dir):
 
 
 def run_verify(config, out_dir, surface_path=None):
-    paths = parse_output(config, out_dir, surface_obj="surface.obj", report="report.json",
-                         radial_graph_csv="radial_graph.csv")
-    opts = parse_verify(config, grid_size=512, n_boundary=128, n_domain=1024,
-                        branch_threshold=1e-6, stability_tol=1e-3, n_axes=16, n_probe=8)
+    paths = parse_output(config, out_dir)
+    opts = read(config["verify"], "verify")
     # a missing surface fails before anything is built
     X, faces = io.read_obj(paths["surface_obj"] if surface_path is None else surface_path)
     beta, curve, field, mesh = build_problem(config)
@@ -336,7 +286,7 @@ def run_check_domain(config, out_dir):
     beta = parse_beta(config)
     boundary, _ = parse_boundary(config)
     paths = parse_output(config, out_dir, report="domain_report.json")
-    opts = parse_verify(config, n_boundary=256, n_domain=2048)
+    opts = read(config["verify"], "verify", n_boundary=256, n_domain=2048)
     n_boundary, n_domain = opts["n_boundary"], opts["n_domain"]
     convex = is_convex(boundary, n_boundary, n_domain)
     flag, margin, orient, orient_err = False, float("-inf"), None, None
@@ -367,12 +317,8 @@ def run_check_domain(config, out_dir):
 def run_profile_cone(config, out_dir):
     beta = parse_beta(config)
     delta, eps_list = parse_profiles(config, beta)
-    field = None
-    if "field" in config:
-        field = parse_field(config)
-
-    paths = parse_output(config, out_dir, profile_csv="profile.csv",
-                         report="profile_report.json")
+    field = None if config["field"] is REQUIRED else parse_field(config)
+    paths = parse_output(config, out_dir, report="profile_report.json")
     reports = []
     tables = []
     mins = []
@@ -439,7 +385,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
+        config = read(io.read_json(args.config), "config")
         out_dir = Path(args.out)
         if not out_dir.exists():
             raise IoError(out_dir, f"output directory does not exist: {out_dir}")

@@ -32,10 +32,17 @@ _E3 = np.array([0.0, 0.0, 1.0])
 _STRENGTHS = ("h0", "c", "a")
 
 
+def is_real(value):
+    """True for a finite real number; bools are not numbers here, and the
+    comparison also rejects NaN and ints beyond the float range."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
 class CurvatureField:
     """Mean curvature field H with closed-form gradient."""
 
-    def __init__(self, family, **params):
+    def __init__(self, family, /, **params):
         if not isinstance(family, str) or family not in PARAMS:
             raise OutOfRange(f"unknown field family {family!r}")
         for name in params:
@@ -43,9 +50,7 @@ class CurvatureField:
                 raise OutOfRange(f"{family} field has no parameter {name!r}")
         for name in PARAMS[family]:
             value = params.get(name)
-            # the comparison also rejects NaN and ints beyond the float range
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not -sys.float_info.max <= value <= sys.float_info.max):
+            if not is_real(value):
                 raise OutOfRange(f"{family} field parameter {name!r} must be a finite"
                                  f" real number, got {value!r}")
         self.family = family
@@ -95,14 +100,6 @@ class CurvatureField:
             k: factor * v if k in _STRENGTHS else v for k, v in self.params.items()
         }
         return CurvatureField(self.family, **params)
-
-    def to_dict(self):
-        return {"family": self.family, **self.params}
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        return cls(d.pop("family"), **d)
 
     def __repr__(self):
         return f"CurvatureField({self.family!r}, {self.params})"

@@ -47,17 +47,20 @@ def read_obj(path):
     if not path.exists():
         raise IoError(path, f"surface artifact not found: {path}")
     coords, corners = [], []
-    with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts or parts[0] not in ("v", "f"):
-                continue
-            if len(parts) < 4:
-                raise IoError(path, f"{path}:{n}: short {parts[0]!r} record")
-            if parts[0] == "v":
-                coords += parts[1:4]
-            else:
-                corners += parts[1:4]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for n, line in enumerate(fh, 1):
+                parts = line.split()
+                if not parts or parts[0] not in ("v", "f"):
+                    continue
+                if len(parts) < 4:
+                    raise IoError(path, f"{path}:{n}: short {parts[0]!r} record")
+                if parts[0] == "v":
+                    coords += parts[1:4]
+                else:
+                    corners += parts[1:4]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(path, f"{path}: unreadable surface artifact: {exc}") from exc
     faces = " ".join(corners)
     if "/" in faces:
         corners = _CORNER_TAIL.sub("", faces).split()
@@ -75,12 +78,29 @@ def write_json(path, payload):
         fh.write("\n")
 
 
+def _unique_keys(pairs):
+    """The object of a JSON object's (key, value) pairs; a key given twice
+    raises ValueError naming it."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def read_json(path):
+    """The JSON document at path.  A file that cannot be read, is not
+    UTF-8 or is not JSON, or an object that gives a key twice, raises
+    IoError."""
     path = Path(path)
     if not path.exists():
         raise IoError(path, f"file not found: {path}")
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:
+        raise IoError(path, f"{path}: unreadable JSON: {exc}") from exc
 
 
 def write_csv(path, header, rows):

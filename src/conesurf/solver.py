@@ -50,7 +50,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import FieldOutOfDomain, NoConvergence, OutOfRange
-from .fields import build_potential_Q
+from .fields import build_potential_Q, is_real
 from .mesh import DiskMesh, build_disk_mesh  # noqa: F401  (re-export)
 
 STALL_WINDOW = 20   # steps between the two updates a stall test compares
@@ -69,22 +69,18 @@ class SolveConfig:
     continuation_steps: int = 4
 
     def __post_init__(self):
-        for name, kind, what in (
-            ("max_iters", numbers.Integral, "an integer"),
-            ("continuation_steps", numbers.Integral, "an integer"),
-            ("damping", numbers.Real, "a real number"),
-            ("residual_tol", numbers.Real, "a real number"),
-            ("update_tol", numbers.Real, "a real number"),
-        ):
+        for name in ("max_iters", "continuation_steps"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise OutOfRange(f"{name} must be {what}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise OutOfRange(f"{name} must be a positive integer, got {value!r}")
+        for name in ("damping", "residual_tol", "update_tol"):
+            value = getattr(self, name)
+            if not is_real(value):
+                raise OutOfRange(f"{name} must be a finite real number, got {value!r}")
         if not (0.0 < self.damping <= 1.0):
             raise OutOfRange("damping must be in (0, 1]")
         if not (self.residual_tol > 0 and self.update_tol > 0):
             raise OutOfRange("tolerances must be positive")
-        if self.continuation_steps < 1:
-            raise OutOfRange("continuation_steps must be >= 1")
 
 
 @dataclass

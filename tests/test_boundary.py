@@ -17,12 +17,6 @@ class TestFourierScalar:
         assert f(th) == pytest.approx(1.0 + 0.2 * np.cos(th) + 0.1 * np.sin(2 * th))
         assert f.deriv(th) == pytest.approx(-0.2 * np.sin(th) + 0.2 * np.cos(2 * th))
 
-    def test_round_trip(self):
-        f = cs.FourierScalar(0.9, cos_coeffs=[0.1, 0.05])
-        g = cs.FourierScalar.from_dict(f.to_dict())
-        th = np.linspace(0, 2 * np.pi, 17)
-        np.testing.assert_allclose(g(th), f(th))
-
     def test_order_cap(self):
         with pytest.raises(OutOfRange):
             cs.FourierScalar(1.0, cos_coeffs=[0.0] * 9)

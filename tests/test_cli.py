@@ -1,11 +1,13 @@
 import json
+import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conesurf import boundary, cli, io, solver
+from conesurf import boundary, cli, cone_smoothing, io, solver
 from conesurf.mesh import build_disk_mesh
 from conesurf.verifier import domain_grid
 
@@ -335,7 +337,8 @@ class TestExitCodes:
         ("continuation_steps", 2.5), ("continuation_steps", True),
         ("continuation_steps", "3"),
         ("damping", True), ("damping", "0.5"), ("residual_tol", "1e-8"),
-        ("update_tol", False),
+        ("update_tol", False), ("residual_tol", float("inf")), ("update_tol", float("inf")),
+        ("max_iters", 0), ("max_iters", -1),
     ])
     def test_mistyped_solver_key_rejected(self, tmp_path, capsys, key, value):
         cfg = solve_config(solver={"max_iters": 400, key: value})
@@ -343,6 +346,41 @@ class TestExitCodes:
         assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "surface.obj").exists()
+
+    @pytest.mark.parametrize("content,named", [
+        (None, "config.json"),
+        (b'{"cone": {"beta": 1.0, "eps_list": ["\xff"]}}', "config.json"),
+        (b'{"cone": {"beta": 1.0', "config.json"),
+        (b'{"cone": {"beta": 1.0}, "cone": {"beta": 0.5}}', "duplicate key 'cone'"),
+        (b'{"cone": {"beta": 1.0, "beta": 0.5}}', "duplicate key 'beta'"),
+        (b'{"cone": {"beta": 1.0}, "boundary": {"alpha_c": 0.8, "g": {"const": 1, "const": 2}}}',
+         "duplicate key 'const'"),
+    ], ids=["directory", "not_utf8", "truncated", "duplicate_root_key", "duplicate_cone_key",
+            "duplicate_g_key"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, content, named):
+        cfg_path = tmp_path / "config.json"
+        if content is None:
+            cfg_path.mkdir()
+        else:
+            cfg_path.write_bytes(content)
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert named in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("content", [None, b"v 0 0 1\n# \xff\nv 1 0 1\nf 1 2 3\n"],
+                             ids=["directory", "not_utf8"])
+    def test_unreadable_surface_is_config_error(self, tmp_path, capsys, content):
+        cfg_path = write_config(tmp_path, solve_config())
+        surface = tmp_path / "surface.obj"
+        if content is None:
+            surface.mkdir()
+        else:
+            surface.write_bytes(content)
+        rc = cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path),
+                       "--surface", str(surface)])
+        assert rc == 2
+        assert "surface.obj" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("mesh", [{"n_r": 2, "n_theta": 24}, {"n_r": 12, "n_theta": 4}],
                              ids=["n_r", "n_theta"])
@@ -390,8 +428,9 @@ class TestExitCodes:
 
     def test_verify_keys_are_converted(self):
         cfg = solve_config(verify={"grid_size": 64, "stability_tol": 1})
-        opts = cli.parse_verify(cfg, grid_size=512, stability_tol=1e-3, n_probe=8)
-        assert opts == {"grid_size": 64, "stability_tol": 1.0, "n_probe": 8}
+        opts = cli.read(cfg["verify"], "verify")
+        assert {k: opts[k] for k in ("grid_size", "stability_tol", "n_probe")} == {
+            "grid_size": 64, "stability_tol": 1.0, "n_probe": 8}
         assert type(opts["stability_tol"]) is float
 
     @pytest.mark.parametrize("command", ["solve", "verify", "check-domain", "profile-cone"])
@@ -498,9 +537,10 @@ class TestExitCodes:
         ({"family": "modulated", "c": 0.1, "a": [0.05]}, "'a'"),
         ({"family": ["radial"], "c": 0.1}, "family"),
         ({"c": 0.1}, "'family'"),
+        ({"family": "radial", "c": 0.1, "self": 1}, "'self'"),
     ], ids=["radial_no_c", "c_string", "c_bool", "c_nan", "radial_s", "zero_c",
             "constant_no_h0", "power_s_2", "power_no_s", "c_huge_int", "a_list",
-            "family_list", "no_family"])
+            "family_list", "no_family", "self_key"])
     def test_bad_field_parameter_rejected(self, tmp_path, capsys, field, key):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(solve_config(field=field)))
@@ -529,6 +569,66 @@ class TestExitCodes:
         bad_path = write_config(tmp_path, bad, name="bad.json")
         rc = cli.main(["verify", "--config", bad_path, "--out", str(tmp_path)])
         assert rc == 4
+
+
+MINIMAL = {"cone": {"beta": BETA}, "boundary": {"alpha_c": 0.8 * BETA},
+           "field": {"family": "radial", "c": 0.9 / 6.0}}
+WRITES = {"solve": {"surface.obj", "solve.json"},
+          "verify": {"surface.obj", "solve.json", "report.json", "radial_graph.csv"},
+          "check-domain": {"domain_report.json"},
+          "profile-cone": {"profile.csv", "profile_report.json"}}
+
+
+def spelled_out(command):
+    """MINIMAL with every optional key at the default `command` documents."""
+    report = {"check-domain": "domain_report.json",
+              "profile-cone": "profile_report.json"}.get(command, "report.json")
+    n_boundary, n_domain = (256, 2048) if command == "check-domain" else (128, 1024)
+    return {
+        "cone": {"beta": BETA, "delta": cone_smoothing.select_delta(BETA),
+                 "eps_list": [0.1, 0.05, 0.025]},
+        "boundary": {"type": "cap", "alpha_c": 0.8 * BETA,
+                     "g": {"const": 1.0, "cos": [], "sin": []}},
+        "field": {"family": "radial", "c": 0.9 / 6.0},
+        "mesh": {"n_r": 24, "n_theta": 48},
+        "solver": {"max_iters": 200, "damping": 1.0, "residual_tol": 1e-8,
+                   "update_tol": 1e-11, "continuation_steps": 4},
+        "verify": {"grid_size": 512, "n_boundary": n_boundary, "n_domain": n_domain,
+                   "n_axes": 16, "n_probe": 8, "branch_threshold": 1e-6,
+                   "stability_tol": 1e-3},
+        "output": {"surface_obj": "surface.obj", "solve_log": "solve.json", "report": report,
+                   "radial_graph_csv": "radial_graph.csv", "profile_csv": "profile.csv"},
+    }
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command", list(WRITES))
+    def test_spelled_out_defaults_write_the_same_artifacts(self, tmp_path, command):
+        written = {}
+        for name, cfg in (("omitted", MINIMAL), ("spelled", spelled_out(command))):
+            out = tmp_path / name
+            out.mkdir()
+            cfg_path = write_config(tmp_path, cfg, name=f"{name}.json")
+            if command == "verify":
+                assert cli.main(["solve", "--config", cfg_path, "--out", str(out)]) == 0
+            assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 0
+            written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(written["omitted"]) == WRITES[command]
+        assert written["spelled"] == written["omitted"]
+
+    @pytest.mark.parametrize("g,const", [(None, 1.0), ({"cos": [0.1]}, 0.0)],
+                             ids=["no_g", "g_without_const"])
+    def test_radial_factor_constant_term(self, g, const):
+        cfg = solve_config()
+        if g is not None:
+            cfg["boundary"]["g"] = g
+        assert cli.parse_boundary(cfg)[1].const == const
+
+    def test_readme_table_lists_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", readme, flags=re.M)
+        assert sorted(rows) == sorted((what, key) for what, keys in cli.SCHEMA.items()
+                                      for key in keys)
 
 
 @pytest.mark.skipif(shutil.which("conesurf") is None,

@@ -206,12 +206,6 @@ class TestChecks:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        field = cs.CurvatureField("modulated", c=0.1, a=0.02)
-        again = cs.CurvatureField.from_dict(field.to_dict())
-        p = np.array([0.3, 0.4, 1.0])
-        assert again.eval(p) == field.eval(p)
-
     def test_unknown_family(self):
         with pytest.raises(OutOfRange):
             cs.CurvatureField("hyperbolic", c=1.0)

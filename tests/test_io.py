@@ -118,3 +118,34 @@ class TestWriteObj:
     def test_empty(self, tmp_path):
         self.assert_same_bytes(tmp_path, np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
         assert (tmp_path / "block.obj").read_bytes() == b""
+
+
+# (reader, file name, bytes, message) of a file each reader must refuse with
+# IoError; bytes None makes the path a directory
+UNREADABLE = [
+    (io.read_json, "config.json", None, "config.json"),
+    (io.read_json, "config.json", b'{"cone": {"beta": 1.0, "delta": "\xff"}}', "config.json"),
+    (io.read_json, "config.json", b'{"cone": {"beta": 1.0', "config.json"),
+    (io.read_json, "config.json", b'{"cone": {"beta": 1.0}, "cone": {"beta": 0.5}}',
+     "duplicate key 'cone'"),
+    (io.read_json, "config.json", b'{"mesh": {"n_r": 12, "n_theta": 24, "n_r": 16}}',
+     "duplicate key 'n_r'"),
+    (io.read_obj, "surface.obj", None, "surface.obj"),
+    (io.read_obj, "surface.obj", b"v 0 0 1\n# \xff\nv 1 0 1\nv 0 1 1\nf 1 2 3\n",
+     "surface.obj"),
+]
+
+
+class TestReadErrors:
+    @pytest.mark.parametrize("reader,name,content,message", UNREADABLE,
+                             ids=["json_dir", "json_not_utf8", "json_truncated",
+                                  "json_duplicate_root_key", "json_duplicate_nested_key",
+                                  "obj_dir", "obj_not_utf8"])
+    def test_unreadable_file_is_typed(self, tmp_path, reader, name, content, message):
+        path = tmp_path / name
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with pytest.raises(IoError, match=message):
+            reader(path)

@@ -36,7 +36,9 @@ class TestConfig:
         "kw",
         [dict(damping=0.0), dict(damping=1.5), dict(residual_tol=0.0),
          dict(update_tol=-1e-9), dict(continuation_steps=0),
-         dict(residual_tol=float("nan")), dict(damping=float("nan"))],
+         dict(residual_tol=float("nan")), dict(damping=float("nan")),
+         dict(residual_tol=float("inf")), dict(update_tol=float("inf")),
+         dict(max_iters=0), dict(max_iters=-1)],
     )
     def test_rejects_bad_values(self, kw):
         with pytest.raises(OutOfRange):
