@@ -31,11 +31,11 @@ amap = cs.AxisMap(boundary, beta)
 report = cs.verify_surface(state, field, beta, axis_map=amap,
                            boundary=boundary, grid_size=256)
 print()
-for check in report.checks:
-    mark = "ok " if check.passed else "FAIL"
-    print(f"  [{mark}] {check.name:35s} value = {check.value:.6g}")
+for check in report["checks"]:
+    mark = "ok " if check["pass"] else "FAIL"
+    print(f"  [{mark}] {check['name']:35s} value = {check['value']:.6g}")
 print()
-print("all checks passed:", report.all_passed)
+print("all checks passed:", report["pass"])
 
 # the surface as a radial graph: lambda(p) = |X| over the spherical domain
 grid = cs.domain_grid(boundary, 1000)

@@ -46,9 +46,6 @@ from .solver import (
     solve,
 )
 from .verifier import (
-    DensityField,
-    NormalField,
-    VerificationReport,
     check_cone_condition_functions,
     check_enclosure,
     check_radial_normal,

@@ -188,13 +188,10 @@ class RadialGraphCurve:
         self.g = g
         self.beta = float(beta)
 
-    def point(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        gv = np.asarray(self.g(theta), dtype=float)
-        return gv[..., None] * self.boundary.gamma_hat(theta)
-
     def points(self, thetas):
-        return self.point(np.asarray(thetas, dtype=float))
+        thetas = np.asarray(thetas, dtype=float)
+        gv = np.asarray(self.g(thetas), dtype=float)
+        return gv[..., None] * self.boundary.gamma_hat(thetas)
 
 
 def build_curve(boundary, g, beta, n_check=512):

@@ -75,6 +75,8 @@ REQUIRED = object()  # the default of a key the config must give
 # The kinds of config values, each (test, what a value must be, conversion).
 REAL = (is_real, "a finite real number", float)
 ANGLE = (lambda v: is_real(v) and 0.0 < v < np.pi / 2, "an angle in (0, pi/2)", float)
+# below 1, every triangle with E >= median(E) keeps its Gauss-map normal
+FRACTION = (lambda v: is_real(v) and 0.0 <= v < 1.0, "a real number in [0, 1)", float)
 REALS = (lambda v: isinstance(v, list) and all(map(is_real, v)),
          "a list of finite real numbers", lambda v: [float(x) for x in v])
 COUNT = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
@@ -100,12 +102,12 @@ SCHEMA = {
     "perturbed_cap boundary": {"type": (NAME, REQUIRED), "alpha_c": (ANGLE, REQUIRED),
                                "g": (OBJECT, {"const": 1.0}), "cos": (REALS, []),
                                "sin": (REALS, [])},
-    "boundary g": {"const": (REAL, 0.0), "cos": (REALS, []), "sin": (REALS, [])},
+    "boundary g": {"const": (REAL, REQUIRED), "cos": (REALS, []), "sin": (REALS, [])},
     "mesh": {"n_r": (COUNT, 24), "n_theta": (COUNT, 48)},
     "solver": {f.name: (SOLVER, f.default) for f in dataclasses.fields(SolveConfig)},
     "verify": {"grid_size": (COUNT, 512), "n_boundary": (COUNT, 128),
                "n_domain": (COUNT, 1024), "n_axes": (COUNT, 16), "n_probe": (COUNT, 8),
-               "branch_threshold": (REAL, 1e-6), "stability_tol": (REAL, 1e-3)},
+               "branch_threshold": (FRACTION, 1e-6), "stability_tol": (REAL, 1e-3)},
     "output": {"surface_obj": (NAME, "surface.obj"), "solve_log": (NAME, "solve.json"),
                "report": (NAME, "report.json"), "radial_graph_csv": (NAME, "radial_graph.csv"),
                "profile_csv": (NAME, "profile.csv")},
@@ -269,9 +271,7 @@ def run_verify(config, out_dir, surface_path=None):
         n_axes=opts["n_axes"],
         n_probe=opts["n_probe"],
     )
-    payload = report.to_dict()
-    payload["beta_convexity_margin"] = axis_map.margin
-    io.write_json(paths["report"], payload)
+    io.write_json(paths["report"], report)
 
     # radial-graph CSV table over domain_grid's seeded random sample of the domain
     grid = domain_grid(boundary, opts["grid_size"])
@@ -279,7 +279,7 @@ def run_verify(config, out_dir, surface_path=None):
     rows = np.column_stack([np.arctan2(grid[:, 1], grid[:, 0]), np.arccos(grid[:, 2]), lam])
     io.write_csv(paths["radial_graph_csv"], ("theta", "phi", "lambda"), rows)
 
-    return EXIT_OK if report.all_passed else EXIT_VERIFY
+    return EXIT_OK if report["pass"] else EXIT_VERIFY
 
 
 def run_check_domain(config, out_dir):

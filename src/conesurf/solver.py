@@ -58,6 +58,11 @@ LEVEL_REDUCTION = 1e-2  # intermediate level stops at this share of its first up
 MAX_HALVINGS = 3    # damping halvings on a stalled level before failing
 CONTRACTION_WINDOW = 5  # trailing update ratios in a contraction estimate
 ANDERSON_DEPTH = 5  # Picard images mixed by one Anderson step
+# Each continuation level costs at least one Picard step.  At 100 levels the
+# field grows by 1% a level, far finer than the 4 levels that converge at
+# 0.9 c_beta; a larger count only adds run time, and a huge one (a valid JSON
+# integer such as 10**400) would never finish.
+MAX_CONTINUATION_STEPS = 100
 
 
 @dataclass
@@ -77,6 +82,8 @@ class SolveConfig:
             value = getattr(self, name)
             if not is_real(value):
                 raise OutOfRange(f"{name} must be a finite real number, got {value!r}")
+        if self.continuation_steps > MAX_CONTINUATION_STEPS:
+            raise OutOfRange(f"continuation_steps must be at most {MAX_CONTINUATION_STEPS}")
         if not (0.0 < self.damping <= 1.0):
             raise OutOfRange("damping must be in (0, 1]")
         if not (self.residual_tol > 0 and self.update_tol > 0):

@@ -1,8 +1,15 @@
 """Post-solve verification of the geometric conclusions: Gauss map and
 branch points, density function and stability, enclosure barriers, radial
-normal positivity, projection degree, and radial-graph extraction."""
+normal positivity, projection degree, and radial-graph extraction.
 
-from dataclasses import dataclass, field as dc_field
+`verify_surface` evaluates H(X), grad H(X) and the conformal factor E at
+the vertices once, in `density_field`, and every check reads them from the
+returned DensityField.  The report is one table: each row is a check's
+name, value, comparison and tolerance, and its pass flag is the comparison
+applied to the value and the tolerance."""
+
+from dataclasses import dataclass
+from operator import eq, ge, gt, lt
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
@@ -67,6 +74,8 @@ class DensityField:
     p: np.ndarray          # per-vertex density, 0 where undefined
     E: np.ndarray          # per-vertex conformal factor
     K: np.ndarray          # per-vertex Gaussian curvature
+    H: np.ndarray          # H(X) per vertex
+    grad_H: np.ndarray     # grad H(X) per vertex, (nv, 3)
     grad_H_dot_N: np.ndarray
     defined: np.ndarray    # bool mask
 
@@ -102,13 +111,13 @@ def density_field(state, field, normals):
     p[defined] = E[defined] * (
         2.0 * h[defined] ** 2 - K[defined] - ghn[defined]
     )
-    return DensityField(p=p, E=E, K=K, grad_H_dot_N=ghn, defined=defined)
+    return DensityField(p=p, E=E, K=K, H=h, grad_H=gh, grad_H_dot_N=ghn, defined=defined)
 
 
 def stability_eigenvalue(state, density):
     """Smallest eigenvalue of (stiffness - 2 p mass) phi = mu mass phi with
     zero boundary values; verify_surface calls the surface stable when
-    mu_1 >= -stability_tol."""
+    mu_1 >= -stability_tol * median(E)."""
     mesh = state.mesh
     p = density.p if hasattr(density, "p") else np.asarray(density, dtype=float)
     interior = mesh.interior
@@ -168,17 +177,16 @@ def _weak_rms_residual(mesh, values, neg_lap_rhs, deep):
     the given vertices.  The pointwise lumped Laplacian is not consistent
     on this mesh, so residuals are measured in this integral norm, which
     converges under refinement."""
-    r = (mesh.stiffness @ values - mesh.mass @ neg_lap_rhs)
-    r = r / mesh.lumped_mass[:, None] if r.ndim == 2 else r / mesh.lumped_mass
+    r = (mesh.stiffness @ values - mesh.mass @ neg_lap_rhs) / mesh.lumped_mass
     w = mesh.lumped_mass[deep]
-    r2 = np.sum(r[deep] ** 2, axis=1) if r.ndim == 2 else r[deep] ** 2
-    return float(np.sqrt(np.sum(w * r2) / np.sum(w)))
+    return float(np.sqrt(np.sum(w * r[deep] ** 2) / np.sum(w)))
 
 
-def check_enclosure(state, beta, field=None):
+def check_enclosure(state, beta, density=None):
     """Barrier phi = X.e3 - |X| cos(beta): minima on the closed disk and on
-    the interior, plus the discrete residual of the superharmonicity
-    identity for -Delta phi at deep interior vertices."""
+    the interior, plus, given the density (for its E and H), the discrete
+    residual of the superharmonicity identity for -Delta phi at deep
+    interior vertices."""
     X = state.X
     r = np.linalg.norm(X, axis=1)
     if np.min(r) < 1e-10:
@@ -188,12 +196,11 @@ def check_enclosure(state, beta, field=None):
 
     mesh = state.mesh
     res = None
-    if field is not None:
+    if density is not None:
         xu = mesh.vertex_average(mesh.d_u @ X)
         xv = mesh.vertex_average(mesh.d_v @ X)
-        E = vertex_conformal_factor(state)
+        E, h = density.E, density.H
         w = np.cross(xu, xv)
-        h = field.eval(X)
         px = X / r[:, None]
         pxu = _safe_unit(xu)
         pxv = _safe_unit(xv)
@@ -235,16 +242,12 @@ def check_cone_condition_functions(state, axis_map, beta, n_axes=16):
     interior_mins = []
     normal_derivs = []
     for j in sample_js:
-        theta = state.boundary_theta[j]
-        p0 = axis_map.axis(theta)
-        phi_p = X @ p0 - r * cosb
-        interior_mins.append(float(np.min(phi_p[mesh.interior])))
-        normal_derivs.append(float(mesh.boundary_normal_derivative(phi_p, j)))
+        phi_p = X @ axis_map.axis(state.boundary_theta[j]) - r * cosb
+        interior_mins.append(np.min(phi_p[mesh.interior]))
+        normal_derivs.append(mesh.boundary_normal_derivative(phi_p, j))
     return {
         "min_interior_phi_p": float(np.min(interior_mins)),
         "max_normal_derivative": float(np.max(normal_derivs)),
-        "interior_mins": interior_mins,
-        "normal_derivatives": normal_derivs,
     }
 
 
@@ -252,7 +255,7 @@ def check_cone_condition_functions(state, axis_map, beta, n_axes=16):
 # Radial normal positivity
 
 
-def check_radial_normal(state, field, density, normals):
+def check_radial_normal(state, density, normals):
     """f = N.X: minimum over the closed disk, minimum of |f| on the
     boundary, and the residual of Delta f + 2 p f = -2E(grad H . X + H)."""
     mesh = state.mesh
@@ -260,9 +263,7 @@ def check_radial_normal(state, field, density, normals):
     N = np.nan_to_num(normals.vertex_normals)
     f = np.einsum("ij,ij->i", N, X)
 
-    gh = field.grad(X)
-    h = field.eval(X)
-    rhs = -2.0 * density.E * (np.einsum("ij,ij->i", gh, X) + h)
+    rhs = -2.0 * density.E * (np.einsum("ij,ij->i", density.grad_H, X) + density.H)
     # Delta f + 2 p f = rhs  =>  -Delta f = 2 p f - rhs; f involves the
     # discrete Gauss map, so measure against smooth test functions
     res = _tested_weak_residual(mesh, f, 2.0 * density.p * f - rhs)
@@ -274,14 +275,13 @@ def check_radial_normal(state, field, density, normals):
     }
 
 
-def normal_pde_residual(state, field, density, normals):
+def normal_pde_residual(state, density, normals):
     """Weak residual of Delta N + 2 p N = -2 E grad H(X).
 
     Measured with the tested weak pairing; see _tested_weak_residual."""
     mesh = state.mesh
     N = np.nan_to_num(normals.vertex_normals)
-    gh = field.grad(state.X)
-    neg_lap_rhs = 2.0 * density.p[:, None] * N + 2.0 * density.E[:, None] * gh
+    neg_lap_rhs = 2.0 * density.p[:, None] * N + 2.0 * density.E[:, None] * density.grad_H
     return _tested_weak_residual(mesh, N, neg_lap_rhs)
 
 
@@ -484,115 +484,75 @@ def extract_radial_graph(state, grid):
 # Report assembly
 
 
-@dataclass
-class CheckResult:
-    name: str
-    value: float
-    tolerance: float
-    passed: bool
-    detail: dict = dc_field(default_factory=dict)
-
-    def to_dict(self):
-        d = {
-            "name": self.name,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-        if self.detail:
-            d["detail"] = self.detail
-        return d
-
-
-@dataclass
-class VerificationReport:
-    checks: list
-    skipped: list = dc_field(default_factory=list)
-
-    @property
-    def all_passed(self):
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self):
-        return {
-            "schema": 1,
-            "pass": self.all_passed,
-            "checks": [c.to_dict() for c in self.checks],
-            "skipped": list(self.skipped),
-        }
-
-
 def verify_surface(state, field, beta, axis_map=None, boundary=None,
                    grid_size=512, branch_threshold=BRANCH_THRESHOLD,
                    stability_tol=1e-3, n_axes=16, n_probe=8):
-    """Run every geometric check on a converged state and assemble the
-    report.  `axis_map` enables the per-axis cone barriers; `boundary`
+    """Run every geometric check on a converged state and return the
+    `report.json` dict: `schema`, `pass` (every check passes), `checks`
+    and `skipped`, plus `beta_convexity_margin` when given an `axis_map`.
+    Each check is {name, value, tolerance, pass} with an optional
+    `detail`.  `axis_map` enables the per-axis cone barriers; `boundary`
     enables radial-graph extraction over the spherical domain."""
-    checks = []
-    skipped = []
-
     normals = gauss_map(state, branch_threshold)
-    n_branch = len(normals.branch_triangles)
-    checks.append(CheckResult(
-        "branch_point_count", float(n_branch), 0.0, n_branch == 0,
-        {"triangles": normals.branch_triangles.tolist()},
-    ))
-
     density = density_field(state, field, normals)
-    med_E = float(np.median(density.E))
     mu1 = stability_eigenvalue(state, density)
-    tol_mu = stability_tol * med_E
-    checks.append(CheckResult("stability_eigenvalue", mu1, -tol_mu, mu1 >= -tol_mu))
-
-    enc = check_enclosure(state, beta, field)
-    checks.append(CheckResult(
-        "enclosure_interior_margin", enc["min_phi_interior"], 0.0,
-        enc["min_phi_interior"] > 0.0, enc,
-    ))
-    checks.append(CheckResult(
-        "enclosure_closed_margin", enc["min_phi_closed"], -1e-9,
-        enc["min_phi_closed"] >= -1e-9,
-    ))
-
-    rad = check_radial_normal(state, field, density, normals)
-    checks.append(CheckResult(
-        "radial_normal_min", rad["min_NdotX"], 0.0, rad["min_NdotX"] > 0.0, rad,
-    ))
-
+    enc = check_enclosure(state, beta, density)
+    rad = check_radial_normal(state, density, normals)
+    # (name, value, comparison, tolerance, detail); a check passes when
+    # comparison(value, tolerance) holds
+    rows = [
+        # a flagged triangle is a candidate branch point: none may remain
+        ("branch_point_count", float(len(normals.branch_triangles)), eq, 0.0,
+         {"triangles": normals.branch_triangles.tolist()}),
+        # mu_1 >= 0 up to the eigen-solve's discretization error, taken
+        # relative to the surface's scale median(E)
+        ("stability_eigenvalue", mu1, ge, -stability_tol * float(np.median(density.E)), None),
+        # the open cone: strictly positive barrier off the boundary
+        ("enclosure_interior_margin", enc["min_phi_interior"], gt, 0.0, enc),
+        # phi may vanish on the boundary ring, where the curve may touch the
+        # cone; -1e-9 is the round-off of that zero
+        ("enclosure_closed_margin", enc["min_phi_closed"], ge, -1e-9, None),
+        # N.X > 0 is strict; the vertex values carry no error bound yet
+        ("radial_normal_min", rad["min_NdotX"], gt, 0.0, rad),
+    ]
+    skipped = []
     if axis_map is not None:
         cc = check_cone_condition_functions(state, axis_map, beta, n_axes)
-        checks.append(CheckResult(
-            "cone_condition_interior", cc["min_interior_phi_p"], 0.0,
-            cc["min_interior_phi_p"] > 0.0,
-        ))
-        checks.append(CheckResult(
-            "cone_condition_normal_derivative", cc["max_normal_derivative"], 0.0,
-            cc["max_normal_derivative"] < 0.0,
-        ))
+        rows += [
+            # the paper's strict inequalities, compared exactly
+            ("cone_condition_interior", cc["min_interior_phi_p"], gt, 0.0, None),
+            ("cone_condition_normal_derivative", cc["max_normal_derivative"], lt, 0.0, None),
+        ]
     else:
         skipped.append("cone_condition_functions (no axis map)")
-
-    deg = projection_degree(state, n_probe)
-    checks.append(CheckResult("projection_degree", float(deg), 1.0, deg == 1))
-
-    jac = jacobian_identity_check(state)
-    checks.append(CheckResult("jacobian_identity_discrepancy", jac, 0.5, jac < 0.5))
-
+    rows += [
+        # an integer winding number, exact
+        ("projection_degree", float(projection_degree(state, n_probe)), eq, 1.0, None),
+        # a fixed bound, not calibrated against mesh refinement
+        ("jacobian_identity_discrepancy", jacobian_identity_check(state), lt, 0.5, None),
+    ]
     if boundary is not None:
+        # value: the grid directions with lambda > 0, or 0 when a direction
+        # is covered zero times or more than once; all of them must count
         try:
-            grid = domain_grid(boundary, grid_size)
-            lam = extract_radial_graph(state, grid)
-            ok = bool(np.all(lam > 0.0))
-            checks.append(CheckResult(
-                "radial_graph_coverage", float(grid_size), float(grid_size), ok,
-                {"lambda_min": float(np.min(lam)), "lambda_max": float(np.max(lam))},
-            ))
+            lam = extract_radial_graph(state, domain_grid(boundary, grid_size))
+            value = float(np.count_nonzero(lam > 0.0))
+            detail = {"lambda_min": float(np.min(lam)), "lambda_max": float(np.max(lam))}
         except (NotInjectiveAt, Uncovered) as exc:
-            checks.append(CheckResult(
-                "radial_graph_coverage", 0.0, float(grid_size), False,
-                {"error": str(exc)},
-            ))
+            value, detail = 0.0, {"error": str(exc)}
+        rows.append(("radial_graph_coverage", value, eq, float(grid_size), detail))
     else:
         skipped.append("radial_graph_extraction (no spherical domain)")
 
-    return VerificationReport(checks=checks, skipped=skipped)
+    checks = []
+    for name, value, compare, tolerance, detail in rows:
+        check = {"name": name, "value": value, "tolerance": tolerance,
+                 "pass": bool(compare(value, tolerance))}
+        if detail:
+            check["detail"] = detail
+        checks.append(check)
+    report = {"schema": 1, "pass": all(c["pass"] for c in checks),
+              "checks": checks, "skipped": skipped}
+    if axis_map is not None:
+        report["beta_convexity_margin"] = axis_map.margin
+    return report

@@ -182,14 +182,14 @@ def test_criterion_7_end_to_end_invariants(endtoend):
             state = cs.solve(mesh, curve, field, cs.SolveConfig(max_iters=400))
             normals = gauss_map(state)
             density = density_field(state, field, normals)
-            rad = check_radial_normal(state, field, density, normals)
+            rad = check_radial_normal(state, density, normals)
             residuals[n_t] = (
                 rad["pde_residual"],
-                normal_pde_residual(state, field, density, normals),
+                normal_pde_residual(state, density, normals),
             )
             if n_t == 48:
                 assert len(normals.branch_triangles) == 0
-                enc = check_enclosure(state, BETA, field)
+                enc = check_enclosure(state, BETA, density)
                 assert enc["min_phi_interior"] > 0
                 assert rad["min_NdotX"] > 0
                 mu1 = stability_eigenvalue(state, density)
@@ -217,7 +217,7 @@ def test_criterion_8_designed_failures(endtoend):
         )
         assert projection_degree(mirrored) == -1
         report = cs.verify_surface(mirrored, field, BETA)
-        assert not report.all_passed
+        assert not report["pass"]
 
         # cap wider than beta is rejected before any solve
         wide = cs.SphericalBoundary.cap(BETA + 0.1)

@@ -188,7 +188,7 @@ class TestBuildCurve:
         b = cs.SphericalBoundary.cap(0.5)
         g = cs.FourierScalar(2.0)
         curve = cs.build_curve(b, g, BETA)
-        p = curve.point(0.0)
+        p = curve.points(0.0)
         np.testing.assert_allclose(p, 2.0 * b.gamma_hat(0.0), atol=1e-14)
         pts = curve.points(np.linspace(0, 2 * np.pi, 64))
         assert pts.shape == (64, 3)

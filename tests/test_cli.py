@@ -339,6 +339,7 @@ class TestExitCodes:
         ("damping", True), ("damping", "0.5"), ("residual_tol", "1e-8"),
         ("update_tol", False), ("residual_tol", float("inf")), ("update_tol", float("inf")),
         ("max_iters", 0), ("max_iters", -1),
+        ("continuation_steps", 101), ("continuation_steps", 1000000),
     ])
     def test_mistyped_solver_key_rejected(self, tmp_path, capsys, key, value):
         cfg = solve_config(solver={"max_iters": 400, key: value})
@@ -405,6 +406,7 @@ class TestExitCodes:
         ("n_boundary", -3), ("n_domain", 512.0), ("n_axes", None), ("n_probe", "8"),
         ("branch_threshold", "1e-6"), ("branch_threshold", False),
         ("stability_tol", float("nan")), ("stability_tol", [1e-3]),
+        ("branch_threshold", 1.0), ("branch_threshold", 2.0), ("branch_threshold", -0.1),
     ])
     def test_mistyped_verify_key_rejected(self, tmp_path, capsys, key, value):
         cfg_path = write_config(tmp_path, solve_config())
@@ -616,13 +618,19 @@ class TestDefaults:
         assert set(written["omitted"]) == WRITES[command]
         assert written["spelled"] == written["omitted"]
 
-    @pytest.mark.parametrize("g,const", [(None, 1.0), ({"cos": [0.1]}, 0.0)],
+    @pytest.mark.parametrize("g,const", [(None, 1.0), ({"cos": [0.1]}, None)],
                              ids=["no_g", "g_without_const"])
-    def test_radial_factor_constant_term(self, g, const):
+    def test_radial_factor_constant_term(self, tmp_path, capsys, g, const):
+        # an absent g is 1; a g given without const is a config error
         cfg = solve_config()
         if g is not None:
             cfg["boundary"]["g"] = g
-        assert cli.parse_boundary(cfg)[1].const == const
+        if const is not None:
+            assert cli.parse_boundary(cfg)[1].const == const
+        else:
+            cfg_path = write_config(tmp_path, cfg)
+            assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+            assert "missing boundary g key 'const'" in capsys.readouterr().err
 
     def test_readme_table_lists_the_schema(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -10,6 +10,7 @@ from conesurf.errors import FieldOutOfDomain, NoConvergence, OutOfRange
 from conesurf.solver import (
     ANDERSON_DEPTH,
     LEVEL_REDUCTION,
+    MAX_CONTINUATION_STEPS,
     MAX_HALVINGS,
     STALL_WINDOW,
     SurfaceState,
@@ -38,7 +39,9 @@ class TestConfig:
          dict(update_tol=-1e-9), dict(continuation_steps=0),
          dict(residual_tol=float("nan")), dict(damping=float("nan")),
          dict(residual_tol=float("inf")), dict(update_tol=float("inf")),
-         dict(max_iters=0), dict(max_iters=-1)],
+         dict(max_iters=0), dict(max_iters=-1),
+         dict(continuation_steps=MAX_CONTINUATION_STEPS + 1),
+         dict(continuation_steps=10**400)],
     )
     def test_rejects_bad_values(self, kw):
         with pytest.raises(OutOfRange):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import eigsh
@@ -25,6 +28,10 @@ J01_SQUARED = 5.783185962946785  # first Dirichlet Laplace eigenvalue of the uni
 BETA = np.pi / 3
 
 
+def density_of(state, field):
+    return density_field(state, field, gauss_map(state))
+
+
 def synthetic_state(mesh, fn):
     n_b = mesh.n_theta
     X = np.array([fn(u, v) for u, v in mesh.vertices])
@@ -33,6 +40,15 @@ def synthetic_state(mesh, fn):
         X=X,
         boundary_theta=2 * np.pi * np.arange(n_b) / n_b,
     )
+
+
+def cubic_state():
+    # w -> w^3 has a genuine branch point at the origin; E ~ 9 r^4
+    def fn(u, v):
+        w = complex(u, v) ** 3
+        return np.array([w.real, w.imag, 2.0])
+
+    return synthetic_state(cs.build_disk_mesh(16, 32), fn)
 
 
 class TestGaussMap:
@@ -55,17 +71,10 @@ class TestGaussMap:
         assert np.max(np.abs(np.abs(dots) - 1.0)) < 5e-3
 
     def test_cubic_branch_point_flagged(self):
-        # w -> w^3 has a genuine branch point at the origin; E ~ 9 r^4
-        mesh = cs.build_disk_mesh(16, 32)
-
-        def fn(u, v):
-            w = complex(u, v) ** 3
-            return np.array([w.real, w.imag, 2.0])
-
-        st = synthetic_state(mesh, fn)
+        st = cubic_state()
         normals = gauss_map(st, branch_threshold=1e-4)
         assert len(normals.branch_triangles) > 0
-        flagged = (mesh.centroid_op @ mesh.vertices)[normals.branch_triangles]
+        flagged = (st.mesh.centroid_op @ st.mesh.vertices)[normals.branch_triangles]
         assert np.max(np.linalg.norm(flagged, axis=1)) < 0.2
 
 
@@ -98,7 +107,7 @@ class TestDensity:
             )
             normals = gauss_map(st)
             d = density_field(st, field, normals)
-            res.append(cs.normal_pde_residual(st, field, d, normals))
+            res.append(cs.normal_pde_residual(st, d, normals))
         assert res[0] / res[1] > 1.5
 
     def test_vertex_conformal_factor_flat(self, flat_disk_state):
@@ -172,7 +181,8 @@ class TestStability:
 
 class TestEnclosure:
     def test_flat_disk_barrier(self, flat_disk_state):
-        rep = check_enclosure(flat_disk_state, BETA, cs.CurvatureField("zero"))
+        rep = check_enclosure(flat_disk_state, BETA,
+                              density_of(flat_disk_state, cs.CurvatureField("zero")))
         # phi = 2 - |X|/2, minimized on the boundary where |X| = sqrt(5)
         assert rep["min_phi_closed"] == pytest.approx(2.0 - np.sqrt(5.0) / 2.0, abs=1e-9)
         assert rep["min_phi_interior"] > rep["min_phi_boundary"]
@@ -184,7 +194,7 @@ class TestEnclosure:
         res = []
         for n_t in (16, 32):
             st = cs.solve(cs.build_disk_mesh(n_t // 2, n_t), curve, zero)
-            res.append(check_enclosure(st, BETA, zero)["identity_residual"])
+            res.append(check_enclosure(st, BETA, density_of(st, zero))["identity_residual"])
         assert res[1] < 0.6 * res[0]
 
     def test_without_field_skips_identity(self, flat_disk_state):
@@ -193,7 +203,7 @@ class TestEnclosure:
 
     def test_endtoend_barrier_positive(self, endtoend_state, endtoend_scenario):
         beta, field = endtoend_scenario[0], endtoend_scenario[4]
-        rep = check_enclosure(endtoend_state, beta, field)
+        rep = check_enclosure(endtoend_state, beta, density_of(endtoend_state, field))
         assert rep["min_phi_closed"] > 0
         assert rep["min_phi_interior"] > 0
 
@@ -212,7 +222,7 @@ class TestRadialNormal:
         field = cs.CurvatureField("zero")
         normals = gauss_map(flat_disk_state)
         d = density_field(flat_disk_state, field, normals)
-        rep = check_radial_normal(flat_disk_state, field, d, normals)
+        rep = check_radial_normal(flat_disk_state, d, normals)
         # N = e3 so N . X = 2 identically
         assert rep["min_NdotX"] == pytest.approx(2.0, abs=1e-8)
         assert rep["min_abs_NdotX_boundary"] == pytest.approx(2.0, abs=1e-8)
@@ -222,7 +232,7 @@ class TestRadialNormal:
         field = endtoend_scenario[4]
         normals = gauss_map(endtoend_state)
         d = density_field(endtoend_state, field, normals)
-        rep = check_radial_normal(endtoend_state, field, d, normals)
+        rep = check_radial_normal(endtoend_state, d, normals)
         assert rep["min_NdotX"] > 0
 
 
@@ -444,11 +454,10 @@ class TestFullReport:
             endtoend_state, field, beta, axis_map=amap, boundary=boundary,
             grid_size=256,
         )
-        assert report.all_passed, [c.name for c in report.checks if not c.passed]
-        d = report.to_dict()
-        assert d["schema"] == 1
-        assert d["pass"] is True
-        names = {c["name"] for c in d["checks"]}
+        assert report["pass"], [c["name"] for c in report["checks"] if not c["pass"]]
+        assert report["schema"] == 1
+        assert report["pass"] is True
+        names = {c["name"] for c in report["checks"]}
         assert "stability_eigenvalue" in names
         assert "branch_point_count" in names
 
@@ -460,5 +469,87 @@ class TestFullReport:
             boundary_theta=endtoend_state.boundary_theta,
         )
         report = cs.verify_surface(mirrored, field, beta)
-        degree = [c for c in report.checks if "degree" in c.name]
-        assert degree and not degree[0].passed
+        degree = [c for c in report["checks"] if "degree" in c["name"]]
+        assert degree and not degree[0]["pass"]
+
+    def test_evaluates_the_field_once(self, endtoend_state, endtoend_scenario, monkeypatch):
+        # H(X) and grad H(X) at the vertices come from density_field alone
+        beta, boundary, g, curve, field = endtoend_scenario
+        calls = {"eval": 0, "grad": 0}
+        for name, counted in [("eval", cs.CurvatureField.eval),
+                              ("grad", cs.CurvatureField.grad)]:
+            def counting(self, p, name=name, counted=counted):
+                calls[name] += 1
+                return counted(self, p)
+
+            monkeypatch.setattr(cs.CurvatureField, name, counting)
+        cs.verify_surface(endtoend_state, field, beta, axis_map=cs.AxisMap(boundary, beta),
+                          boundary=boundary, grid_size=256)
+        assert calls == {"eval": 1, "grad": 1}
+
+    @pytest.mark.parametrize("case", ["endtoend", "mirrored", "branch"])
+    def test_pass_flags_match_the_written_out_rules(self, case, endtoend_state,
+                                                    endtoend_scenario):
+        beta, boundary, g, curve, field = endtoend_scenario
+        if case == "endtoend":
+            args = (endtoend_state, field, beta)
+            kw = dict(axis_map=cs.AxisMap(boundary, beta), boundary=boundary, grid_size=256)
+        elif case == "mirrored":
+            args = (SurfaceState(mesh=endtoend_state.mesh,
+                                 X=endtoend_state.X * np.array([1.0, -1.0, 1.0]),
+                                 boundary_theta=endtoend_state.boundary_theta),
+                    field, beta)
+            kw = dict(boundary=boundary, grid_size=256)
+        else:
+            args = (cubic_state(), cs.CurvatureField("zero"), beta)
+            kw = dict(branch_threshold=1e-4)
+        report = cs.verify_surface(*args, **kw)
+        expected = reference_passes(*args, **kw)
+        assert {c["name"]: c["pass"] for c in report["checks"]} == expected
+        assert report["pass"] is all(expected.values())
+        assert all(expected.values()) is (case == "endtoend")
+
+    def test_readme_table_lists_the_checks(self, endtoend_state, endtoend_scenario):
+        beta, boundary, g, curve, field = endtoend_scenario
+        report = cs.verify_surface(
+            endtoend_state, field, beta,
+            axis_map=cs.AxisMap(boundary, beta, n_boundary=64, n_domain=512),
+            boundary=boundary, grid_size=128,
+        )
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([a-z_]+)` \| value [=<>≥] tolerance \|", readme, flags=re.M)
+        assert rows == [c["name"] for c in report["checks"]]
+
+
+def reference_passes(state, field, beta, axis_map=None, boundary=None, grid_size=512,
+                     branch_threshold=1e-6, stability_tol=1e-3, n_axes=16, n_probe=8):
+    """{check name: pass} of verify_surface's checks, each pass rule
+    written out on its own."""
+    normals = gauss_map(state, branch_threshold)
+    density = density_field(state, field, normals)
+    mu1 = stability_eigenvalue(state, density)
+    tol_mu = stability_tol * float(np.median(density.E))
+    enc = check_enclosure(state, beta, density)
+    rad = check_radial_normal(state, density, normals)
+    deg = projection_degree(state, n_probe)
+    jac = jacobian_identity_check(state)
+    passes = {
+        "branch_point_count": len(normals.branch_triangles) == 0,
+        "stability_eigenvalue": mu1 >= -tol_mu,
+        "enclosure_interior_margin": enc["min_phi_interior"] > 0.0,
+        "enclosure_closed_margin": enc["min_phi_closed"] >= -1e-9,
+        "radial_normal_min": rad["min_NdotX"] > 0.0,
+        "projection_degree": deg == 1,
+        "jacobian_identity_discrepancy": jac < 0.5,
+    }
+    if axis_map is not None:
+        cc = check_cone_condition_functions(state, axis_map, beta, n_axes)
+        passes["cone_condition_interior"] = cc["min_interior_phi_p"] > 0.0
+        passes["cone_condition_normal_derivative"] = cc["max_normal_derivative"] < 0.0
+    if boundary is not None:
+        try:
+            lam = extract_radial_graph(state, domain_grid(boundary, grid_size))
+            passes["radial_graph_coverage"] = bool(np.all(lam > 0.0))
+        except (NotInjectiveAt, Uncovered):
+            passes["radial_graph_coverage"] = False
+    return passes
