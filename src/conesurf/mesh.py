@@ -5,12 +5,14 @@ Vertex layout: index 0 is the center; ring i (1..n_r) holds n_theta vertices
 at radius i/n_r, so the outermost ring lies on the unit circle and is the
 (CCW-ordered) boundary.  All triangles are positively oriented.  Vertices
 and triangles are invariant under rotation by 2 pi / n_theta (vertex j of
-a ring goes to vertex j + 1), which the second-derivative operator uses to
-solve one fit per ring.
+a ring goes to vertex j + 1).  The second-derivative operator uses this to
+solve one fit per ring, and the interior stiffness solve to split K_II into
+one tridiagonal system per Fourier mode along the rings.
 """
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import OutOfRange
 
@@ -53,6 +55,7 @@ class DiskMesh:
         self._setup_matrices()
         self._setup_triangle_operators()
         self._d2 = None
+        self._k_ii = None
 
     # -- geometry ---------------------------------------------------------
 
@@ -105,7 +108,8 @@ class DiskMesh:
     def _setup_triangle_operators(self):
         """Sparse gather and scatter between vertices and triangles:
         d_u, d_v and centroid_op (nt x nv) map vertex values to per-triangle
-        derivatives and centroid values; load_op (nv x nt) spreads
+        derivatives and centroid values, and triangle_gather (3 nt x nv)
+        stacks the three for one product; load_op (nv x nt) spreads
         per-triangle values to the triangle's vertices with weight area/3,
         the P1 load vector of a piecewise-constant density."""
         nv, nt = len(self.vertices), len(self.triangles)
@@ -118,6 +122,8 @@ class DiskMesh:
         self.d_u = gather(self.grad_coeffs[:, :, 0].ravel())
         self.d_v = gather(self.grad_coeffs[:, :, 1].ravel())
         self.centroid_op = gather(np.full(3 * nt, 1.0 / 3.0))
+        self.triangle_gather = sparse.vstack([self.d_u, self.d_v, self.centroid_op],
+                                             format="csr")
         self.load_op = gather(np.repeat(self.areas / 3.0, 3)).T.tocsr()
 
     # -- derivative helpers ----------------------------------------------
@@ -218,6 +224,67 @@ class DiskMesh:
         v1 = values[1 + (self.n_r - 2) * n_theta + (j % n_theta)]
         v2 = values[1 + (self.n_r - 3) * n_theta + (j % n_theta)]
         return (3.0 * vb - 4.0 * v1 + v2) / (2.0 * h)
+
+    # -- interior stiffness solve -------------------------------------------
+
+    def interior_stiffness_modes(self):
+        """The interior stiffness K_II in Fourier modes along the rings: the
+        diagonals (dl, d, du) of one complex tridiagonal matrix that stacks
+        n_theta // 2 + 1 mode systems of n_r rows each (row 0, then rings
+        1..n_r-1).
+
+        The interior vertices are the center and rings 1..n_r-1.  By the
+        rotation invariance, vertex j of ring a couples to vertex j + s of
+        ring b in {a-1, a, a+1} with the coefficient c_ab[s] of the
+        stiffness row of the ring's vertex 0, so the rfft of the ring values
+        is multiplied mode by mode by m_ab(k) = conj(rfft(c_ab))[k].  The
+        center couples only to mode 0: row 0 of mode 0 is the center's row
+        and ring 1 sees it with weight n_theta K[ring 1, 0].  Row 0 of every
+        other mode is a unit row decoupled from the rest."""
+        n_r, n_theta = self.n_r, self.n_theta
+        K = self.stiffness
+        heads = 1 + n_theta * np.arange(n_r - 1)  # vertex 0 of rings 1..n_r-1
+        rows = K[heads].tocoo()
+        ring, s = np.divmod(rows.col - 1, n_theta)  # 0-based ring, angle shift
+        keep = (rows.col > 0) & (ring < n_r - 1)
+        # c[a - 1, b - a + 1] holds c_ab for ring a and b = a-1, a, a+1
+        c = np.zeros((n_r - 1, 3, n_theta))
+        c[rows.row[keep], (ring - rows.row + 1)[keep], s[keep]] = rows.data[keep]
+
+        # (lower, diagonal, upper) coefficient of every row of every mode
+        modes = np.zeros((n_theta // 2 + 1, n_r, 3), dtype=complex)
+        modes[:, 1:] = np.conj(np.fft.rfft(c, axis=-1)).transpose(2, 0, 1)
+        modes[0, 0, 1:] = K[0, 0], K[0, heads[0]]
+        modes[0, 1, 0] = n_theta * K[heads[0], 0]
+        modes[1:, 0, 1] = 1.0
+        lower, diagonal, upper = modes.reshape(-1, 3).T
+        return lower[1:], diagonal, upper[:-1]
+
+    def solve_interior_stiffness(self, b):
+        """x with K_II x = b, for b of shape (n_interior,) or (n_interior, k)
+        in the order of `interior`.  The stacked tridiagonal matrix of
+        `interior_stiffness_modes` is factored (zgttrf, partial pivoting) on
+        first use and cached; a solve is an rfft along the rings, one zgttrs
+        with k right-hand sides and an irfft back."""
+        if self._k_ii is None:
+            *factors, info = zgttrf(*self.interior_stiffness_modes())
+            if info:
+                raise np.linalg.LinAlgError("interior stiffness is singular")
+            self._k_ii = factors
+        n_r, n_theta = self.n_r, self.n_theta
+        b = np.asarray(b, dtype=float)
+        cols = b.reshape(len(b), -1)
+        k = cols.shape[1]
+        # column-major (rows, k) right-hand sides, as zgttrs works in place
+        rhs = np.zeros((k, n_theta // 2 + 1, n_r), dtype=complex)
+        rhs[:, 0, 0] = cols[0]
+        rhs[:, :, 1:] = np.fft.rfft(cols[1:].reshape(n_r - 1, n_theta, k), axis=1).T
+        y, _ = zgttrs(*self._k_ii, rhs.reshape(k, -1).T, overwrite_b=True)
+        y = y.T.reshape(rhs.shape)
+        x = np.empty_like(cols)
+        x[0] = y[:, 0, 0].real
+        x[1:] = np.fft.irfft(y[:, :, 1:], n=n_theta, axis=1).T.reshape(-1, k)
+        return x.reshape(b.shape)
 
 
 def build_disk_mesh(n_r, n_theta):

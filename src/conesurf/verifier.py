@@ -19,8 +19,10 @@ from .errors import (
     InconsistentDegree,
     NotInjectiveAt,
     OriginHit,
+    OutOfRange,
     Uncovered,
 )
+from .fields import is_real
 from .geometry import stereographic_south, winding_degree
 
 BRANCH_THRESHOLD = 1e-6
@@ -41,7 +43,11 @@ class NormalField:
 
 def gauss_map(state, branch_threshold=BRANCH_THRESHOLD):
     """Unit normal (X_u ^ X_v)/|X_u ^ X_v| per triangle; triangles with
-    E <= threshold * median(E) are flagged as candidate branch points."""
+    E <= threshold * median(E) are flagged as candidate branch points.  The
+    threshold is in [0, 1), so at least half of the triangles are defined."""
+    if not (is_real(branch_threshold) and 0.0 <= branch_threshold < 1.0):
+        raise OutOfRange(f"branch_threshold must be a real number in [0, 1), "
+                         f"got {branch_threshold!r}")
     mesh = state.mesh
     xu, xv = state.triangle_derivatives()
     w = np.cross(xu, xv)

@@ -137,6 +137,25 @@ class TestSolveAndVerify:
         assert (a / "solve.json").read_bytes() == (b / "solve.json").read_bytes()
         assert (a / "surface.obj").read_bytes() == (b / "surface.obj").read_bytes()
 
+    @pytest.mark.parametrize("mesh", [(96, 192), (7, 21)])
+    def test_flat_oracle_solves_to_the_plane(self, tmp_path, mesh):
+        # zero field over the circle of radius 1 at height 2: the solution
+        # is the flat disk (u, v, 2).  At (96, 192) the residual is 6.8e-9,
+        # near the default residual_tol 1e-8 (9.3e-9 with a sparse LU,
+        # 1.4e-8 without the refinement step of the harmonic part).
+        cfg = solve_config(
+            boundary={"type": "cap", "alpha_c": float(np.arctan2(1.0, 2.0)),
+                      "g": {"const": float(np.sqrt(5.0))}},
+            field={"family": "zero"},
+            mesh={"n_r": mesh[0], "n_theta": mesh[1]},
+        )
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "solve.json").read_text())["residual"] <= 1e-8
+        X, _ = io.read_obj(tmp_path / "surface.obj")
+        uv = build_disk_mesh(*mesh).vertices
+        assert np.max(np.abs(X - np.column_stack([uv, np.full(len(uv), 2.0)]))) < 1e-8
+
     def test_verify_is_deterministic(self, tmp_path):
         cfg_path = write_config(tmp_path, solve_config())
         cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)])

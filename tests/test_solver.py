@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 
 import conesurf as cs
 from conesurf.errors import FieldOutOfDomain, NoConvergence, OutOfRange
@@ -393,15 +392,15 @@ class TestAnderson:
 
 
 def relifting_solve(mesh, curve, field, config):
-    """The Picard loop of `solve` written out, with the Dirichlet lift
-    -K_ib g recomputed and the iterate rebuilt at every step; the steps are
-    mixed by the solver's `_Anderson`.  Returns (X, iteration_log,
+    """The Picard loop of `solve` written out, with the refined harmonic
+    part (the polar solve of the lift -K_ib g plus one refinement step)
+    recomputed and the iterate rebuilt at every step; the steps are mixed
+    by the solver's `_Anderson`.  Returns (X, iteration_log,
     [(iterations, damping, contraction) per level]) or, when a level fails,
     (None, iteration_log, (level, damping))."""
     g = curve.points(arclength_parametrization(curve, mesh.n_theta))
     K = mesh.stiffness.tocsc()
     K_ib = K[np.ix_(mesh.interior, mesh.boundary)]
-    lu = splu(K[np.ix_(mesh.interior, mesh.interior)], permc_spec="MMD_AT_PLUS_A")
 
     def iterate(x):
         X = np.zeros((len(mesh.vertices), 3))
@@ -410,10 +409,11 @@ def relifting_solve(mesh, curve, field, config):
         return X
 
     def dirichlet(rhs_interior=None):
-        rhs = -K_ib @ g
-        if rhs_interior is not None:
-            rhs = rhs + rhs_interior
-        return lu.solve(rhs)
+        harmonic = mesh.solve_interior_stiffness(-K_ib @ g)
+        harmonic += mesh.solve_interior_stiffness(-(K @ iterate(harmonic))[mesh.interior])
+        if rhs_interior is None:
+            return harmonic
+        return harmonic + mesh.solve_interior_stiffness(rhs_interior)
 
     def interior_load(X, level_field):
         w = np.cross(mesh.d_u @ X, mesh.d_v @ X)

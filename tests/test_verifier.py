@@ -6,7 +6,7 @@ import pytest
 from scipy.sparse.linalg import eigsh
 
 import conesurf as cs
-from conesurf.errors import NotInjectiveAt, Uncovered
+from conesurf.errors import NotInjectiveAt, OutOfRange, Uncovered
 from conesurf.solver import SurfaceState
 from conesurf.verifier import (
     EDGE_TOL,
@@ -76,6 +76,18 @@ class TestGaussMap:
         assert len(normals.branch_triangles) > 0
         flagged = (st.mesh.centroid_op @ st.mesh.vertices)[normals.branch_triangles]
         assert np.max(np.linalg.norm(flagged, axis=1)) < 0.2
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.0, 2.0, np.nan, "0.5"])
+    def test_threshold_outside_unit_interval_is_out_of_range(self, flat_disk_curve, threshold):
+        # a threshold >= 1 can leave no defined vertex, and the radial
+        # normal check then reduced over an empty array
+        curve, beta = flat_disk_curve
+        state = cs.solve(cs.build_disk_mesh(4, 8), curve, cs.CurvatureField("zero"))
+        with pytest.raises(OutOfRange, match="branch_threshold"):
+            gauss_map(state, threshold)
+        with pytest.raises(OutOfRange, match="branch_threshold"):
+            cs.verify_surface(state, cs.CurvatureField("zero"), beta,
+                              branch_threshold=threshold)
 
 
 class TestDensity:
