@@ -41,12 +41,13 @@ def read_obj(path):
     the first index of each of the first three corners of an `f` record
     (`i`, `i/j` or `i/j/k`) gives the 0-based triangles (nt, 3).  Other
     records and blank lines are skipped.  A `v` record with fewer than three
-    coordinates, an `f` record with fewer than three corners or a token
-    that is not a number raises IoError."""
+    coordinates or a coordinate that is not finite (`nan`, `inf`), an `f`
+    record with fewer than three corners or a token that is not a number
+    raises IoError."""
     path = Path(path)
     if not path.exists():
         raise IoError(path, f"surface artifact not found: {path}")
-    coords, corners = [], []
+    coords, corners, vertex_lines = [], [], []
     try:
         with open(path, encoding="utf-8") as fh:
             for n, line in enumerate(fh, 1):
@@ -57,6 +58,7 @@ def read_obj(path):
                     raise IoError(path, f"{path}:{n}: short {parts[0]!r} record")
                 if parts[0] == "v":
                     coords += parts[1:4]
+                    vertex_lines.append(n)
                 else:
                     corners += parts[1:4]
     except (OSError, UnicodeDecodeError) as exc:
@@ -66,9 +68,13 @@ def read_obj(path):
         corners = _CORNER_TAIL.sub("", faces).split()
     try:
         X = np.array(coords, dtype=float).reshape(-1, 3)
-        return X, np.array(corners, dtype=int).reshape(-1, 3) - 1
+        triangles = np.array(corners, dtype=int).reshape(-1, 3) - 1
     except ValueError as exc:
         raise IoError(path, f"{path}: malformed surface artifact: {exc}") from exc
+    bad = np.nonzero(~np.isfinite(X).all(axis=1))[0]
+    if len(bad):
+        raise IoError(path, f"{path}:{vertex_lines[bad[0]]}: non-finite 'v' record")
+    return X, triangles
 
 
 def write_json(path, payload):

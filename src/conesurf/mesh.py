@@ -3,11 +3,14 @@ operators on it.
 
 Vertex layout: index 0 is the center; ring i (1..n_r) holds n_theta vertices
 at radius i/n_r, so the outermost ring lies on the unit circle and is the
-(CCW-ordered) boundary.  All triangles are positively oriented.  Vertices
-and triangles are invariant under rotation by 2 pi / n_theta (vertex j of
-a ring goes to vertex j + 1).  The second-derivative operator uses this to
-solve one fit per ring, and the interior stiffness solve to split K_II into
-one tridiagonal system per Fourier mode along the rings.
+(CCW-ordered) boundary.  The interior vertices (center and rings 1..n_r-1)
+are therefore the prefix 0 .. n-1 and the boundary ring is the last n_theta
+vertices, so the interior block of an operator is its slice [:n, :n].  All
+triangles are positively oriented.  Vertices and triangles are invariant
+under rotation by 2 pi / n_theta (vertex j of a ring goes to vertex j + 1).
+The second-derivative operator uses this to solve one fit per ring, and the
+interior stiffness solve to split K_II into one tridiagonal system per
+Fourier mode along the rings.
 """
 
 import numpy as np

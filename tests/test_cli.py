@@ -202,6 +202,16 @@ class TestSolveAndVerify:
         assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 2
         assert "short 'v' record" in capsys.readouterr().err
 
+    def test_verify_rejects_non_finite_vertex(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, solve_config())
+        cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)])
+        lines = (tmp_path / "surface.obj").read_text().splitlines(keepends=True)
+        lines[5] = "v nan 0.1 1.0\n"
+        (tmp_path / "surface.obj").write_text("".join(lines))
+        assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "surface.obj:6: non-finite 'v' record" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestCheckDomain:
     def test_pass(self, tmp_path):

@@ -80,11 +80,19 @@ class TestReadObj:
         "v 1 2 3\nv 0 0 0\nv 1 1 1\nf 1 2 a\n",   # non-numeric corner
         "v 1 2 3\nv 0 0 0\nv 1 1 1\nf 1 2 3.5\n", # non-integer corner
         "v 1 2 3\nv 0 0 0\nv 1 1 1\nf /1 2 3\n",  # corner without a vertex
+        "v 1 nan 3\nv 0 0 0\nv 1 1 1\nf 1 2 3\n", # nan coordinate
+        "v inf 0 0\nv 0 0 0\nv 1 1 1\nf 1 2 3\n", # infinite coordinate
     ])
     def test_malformed_file_is_typed(self, tmp_path, text):
         path = tmp_path / "bad.obj"
         path.write_text(text)
         with pytest.raises(IoError):
+            io.read_obj(path)
+
+    def test_non_finite_vertex_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.obj"
+        path.write_text("# surface\nv 0 0 1\nv 1 0 -inf\nv 0 1 1\nf 1 2 3\n")
+        with pytest.raises(IoError, match=r"bad\.obj:3: non-finite 'v' record"):
             io.read_obj(path)
 
     def test_missing_file_is_typed(self, tmp_path):

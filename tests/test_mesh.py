@@ -33,6 +33,14 @@ class TestConstruction:
         assert len(m.interior) + len(m.boundary) == len(m.vertices)
         assert not np.any(m.is_boundary[m.interior])
 
+    @pytest.mark.parametrize("n_r,n_theta", [(4, 8), (5, 9), (7, 20), (7, 21)])
+    def test_interior_is_a_prefix(self, n_r, n_theta):
+        # the stability eigen-solve slices the interior block as [:n, :n]
+        m = cs.build_disk_mesh(n_r, n_theta)
+        nv = len(m.vertices)
+        assert np.array_equal(m.interior, np.arange(len(m.interior)))
+        assert np.array_equal(m.boundary, np.arange(nv - n_theta, nv))
+
 
 class TestQuadrature:
     def test_areas_positive(self):

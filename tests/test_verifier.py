@@ -1,4 +1,5 @@
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from scipy.sparse.linalg import eigsh
 
 import conesurf as cs
-from conesurf.errors import NotInjectiveAt, OutOfRange, Uncovered
+from conesurf import verifier
+from conesurf.errors import EigensolverFailure, NotInjectiveAt, OutOfRange, Uncovered
 from conesurf.solver import SurfaceState
 from conesurf.verifier import (
     EDGE_TOL,
@@ -170,19 +172,58 @@ class TestStability:
                      return_eigenvectors=False)
         return float(vals[0])
 
-    def test_ordered_lu_matches_plain_shift_invert_flat(self):
+    def test_matches_plain_shift_invert_flat(self):
         mesh = cs.build_disk_mesh(32, 64)
         st = synthetic_state(mesh, lambda u, v: np.array([u, v, 2.0]))
         p = np.zeros(len(mesh.vertices))
         mu = stability_eigenvalue(st, p)
         assert mu == pytest.approx(self.plain_shift_invert(st, p), rel=1e-12)
 
-    def test_ordered_lu_matches_plain_shift_invert_endtoend(self, endtoend_state,
-                                                            endtoend_scenario):
+    def test_matches_plain_shift_invert_endtoend(self, endtoend_state, endtoend_scenario):
         field = endtoend_scenario[4]
         d = density_field(endtoend_state, field, gauss_map(endtoend_state))
         mu = stability_eigenvalue(endtoend_state, d)
         assert mu == pytest.approx(self.plain_shift_invert(endtoend_state, d.p), rel=1e-12)
+
+    @staticmethod
+    def density(kind, nv):
+        if kind == "random":
+            return 30.0 * np.random.default_rng(0).standard_normal(nv)
+        return np.full(nv, {"zero": 0.0, "five": 5.0}[kind])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["zero", "five", "random"])
+    @pytest.mark.parametrize("n_r, n_theta", [(5, 9), (7, 20), (24, 48)])
+    def test_matches_plain_shift_invert(self, n_r, n_theta, kind):
+        # p = 5 makes A indefinite (mu_1 < 0); the random p of scale 30
+        # takes the most LOBPCG steps seen, about 20
+        mesh = cs.build_disk_mesh(n_r, n_theta)
+        st = synthetic_state(mesh, lambda u, v: np.array([u, v, 2.0]))
+        p = self.density(kind, len(mesh.vertices))
+        mu = stability_eigenvalue(st, p)
+        if kind == "five":
+            assert mu < 0
+        assert mu == pytest.approx(self.plain_shift_invert(st, p), rel=1e-12)
+
+    @staticmethod
+    def assert_typed_failure(p):
+        # EigensolverFailure whether the caller turns warnings into errors
+        # or records them, and no warning reaches the caller
+        mesh = cs.build_disk_mesh(7, 20)
+        st = synthetic_state(mesh, lambda u, v: np.array([u, v, 2.0]))
+        for action in ("error", "always"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                with pytest.raises(EigensolverFailure):
+                    stability_eigenvalue(st, p(len(mesh.vertices)))
+            assert caught == []
+
+    def test_non_convergence_is_typed(self, monkeypatch):
+        monkeypatch.setattr(verifier, "EIGEN_MAXITER", 2)
+        self.assert_typed_failure(lambda nv: self.density("random", nv))
+
+    def test_nan_density_is_typed(self):
+        self.assert_typed_failure(lambda nv: np.where(np.arange(nv) == 3, np.nan, 0.0))
 
     def test_repeated_calls_are_equal(self, endtoend_state, endtoend_scenario):
         field = endtoend_scenario[4]
