@@ -44,20 +44,15 @@ class AxisSingularity(ConesurfError):
 class NoConvergence(ConesurfError):
     """Iterative solver stalled or hit the iteration cap before meeting
     tolerances.  `iterations` counts every iteration of the solve; `level`
-    is the continuation level that failed, `damping` the last relaxation
-    tried there and `contraction` the estimated ratio of successive updates
-    of its last run, when known."""
+    is the continuation level that failed and `contraction` the estimated
+    ratio of its successive updates, when known."""
 
-    def __init__(self, iterations, residual, level=None, damping=None,
-                 contraction=None):
+    def __init__(self, iterations, residual, level=None, contraction=None):
         self.iterations = iterations
         self.residual = residual
         self.level = level
-        self.damping = damping
         self.contraction = contraction
         where = "" if level is None else f" at continuation level {level}"
-        if damping is not None:
-            where += f" with damping {damping:g}"
         if contraction is not None:
             where += f", contraction {contraction:.4g}"
         super().__init__(
@@ -97,6 +92,10 @@ class Uncovered(ConesurfError):
 
 class EigensolverFailure(ConesurfError):
     """The sparse eigensolver failed to converge."""
+
+
+class FloatingPointFailure(ConesurfError):
+    """A numpy overflow, invalid value or division by zero."""
 
 
 class ConfigInvalid(ConesurfError):

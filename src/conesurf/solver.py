@@ -9,22 +9,20 @@ the radial growth bound.
 
 Each step is a type-II Anderson step (Walker & Ni 2011) of depth
 ANDERSON_DEPTH on the interior unknowns: it mixes the last Picard images
-by a small least-squares fit of their residuals G(x) - x, with the run's
-damping as mixing weight, so a step without history is the damped Picard
-step (1 - damping) x + damping G(x).  The history is cleared whenever
-||G(x) - x||_2 grows.
+by a small least-squares fit of their residuals G(x) - x, so a step
+without history is the plain Picard step G(x).  The history is cleared
+whenever ||G(x) - x||_2 grows.
 
-Each continuation level starts undamped.  A level stalls when an update is
-not below the update STALL_WINDOW steps earlier, or is not finite; it then
-restarts from its starting iterate with the damping halved, and after
-MAX_HALVINGS halvings the solve raises NoConvergence.  The halvings are
-the fallback where undamped Anderson steps stall, as for the modulated and
-power fields at 3 c_beta.  An iterate that leaves the domain of the field
-also ends the solve with NoConvergence.
+A continuation level stalls when an update is not finite or not below the
+update STALL_WINDOW steps earlier; the solve then raises NoConvergence
+naming the level, as it does at once when an iterate leaves the domain of
+the field.  A stalled level is not restarted: in every case measured,
+damped restarts of a stalled level converged only to fixed points outside
+the cone, which are not the paper's surface.
 
 Only the final level is driven to config.update_tol.  A level before it
 only seeds the next one, so it stops once its update is at most
-max(update_tol, LEVEL_REDUCTION * the first update of that run): an iterate
+max(update_tol, LEVEL_REDUCTION * the first update of that level): an iterate
 left at that fraction is off by about LEVEL_REDUCTION * q / (1 - q) of the
 jump between levels (q the contraction per step), which the next level's
 first steps remove.
@@ -57,7 +55,6 @@ from .mesh import DiskMesh, build_disk_mesh  # noqa: F401  (re-export)
 
 STALL_WINDOW = 20   # steps between the two updates a stall test compares
 LEVEL_REDUCTION = 1e-2  # intermediate level stops at this share of its first update
-MAX_HALVINGS = 3    # damping halvings on a stalled level before failing
 CONTRACTION_WINDOW = 5  # trailing update ratios in a contraction estimate
 ANDERSON_DEPTH = 5  # Picard images mixed by one Anderson step
 # Each continuation level costs at least one Picard step.  At 100 levels the
@@ -70,7 +67,6 @@ MAX_CONTINUATION_STEPS = 100
 @dataclass
 class SolveConfig:
     max_iters: int = 200
-    damping: float = 1.0            # initial mixing weight of every level
     residual_tol: float = 1e-8
     update_tol: float = 1e-11
     continuation_steps: int = 4
@@ -80,16 +76,12 @@ class SolveConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise OutOfRange(f"{name} must be a positive integer, got {value!r}")
-        for name in ("damping", "residual_tol", "update_tol"):
+        for name in ("residual_tol", "update_tol"):
             value = getattr(self, name)
-            if not is_real(value):
-                raise OutOfRange(f"{name} must be a finite real number, got {value!r}")
+            if not (is_real(value) and value > 0):
+                raise OutOfRange(f"{name} must be a positive finite real number, got {value!r}")
         if self.continuation_steps > MAX_CONTINUATION_STEPS:
             raise OutOfRange(f"continuation_steps must be at most {MAX_CONTINUATION_STEPS}")
-        if not (0.0 < self.damping <= 1.0):
-            raise OutOfRange("damping must be in (0, 1]")
-        if not (self.residual_tol > 0 and self.update_tol > 0):
-            raise OutOfRange("tolerances must be positive")
 
 
 @dataclass
@@ -101,7 +93,6 @@ class SurfaceState:
     residual: float = np.nan
     iteration_log: list = dc_field(default_factory=list)
     level_iterations: list = dc_field(default_factory=list)
-    level_damping: list = dc_field(default_factory=list)
     level_contraction: list = dc_field(default_factory=list)
 
     def triangle_derivatives(self):
@@ -183,12 +174,9 @@ class _DiskSystem:
             x += mesh.solve_interior_stiffness(-(mesh.stiffness @ self.embed(x))[self.interior])
         self.harmonic = x
 
-    def solve_interior(self, rhs_interior=None):
+    def solve_interior(self, rhs_interior):
         """Interior values of the solution of K X = b with X = g on the
-        boundary ring; b is zero on the interior unless rhs_interior is
-        given."""
-        if rhs_interior is None:
-            return self.harmonic.copy()
+        boundary ring and b = rhs_interior on the interior."""
         return self.harmonic + self.mesh.solve_interior_stiffness(rhs_interior)
 
     def embed(self, x):
@@ -200,14 +188,12 @@ class _DiskSystem:
 
 class _Anderson:
     """Type-II Anderson mixing of depth ANDERSON_DEPTH for x = G(x) on n
-    unknowns with mixing weight `damping`.  The differences of the last
-    residuals f = G(x) - x and images G(x) are kept in preallocated
-    columns; a step fits f by them in least squares and extrapolates both
-    x and G(x) by the fit.  The history is cleared when ||f||_2 grows, and
-    a step without history is (1 - damping) x + damping G(x)."""
+    unknowns.  The differences of the last residuals f = G(x) - x and
+    images G(x) are kept in preallocated columns; a step fits f by them in
+    least squares and extrapolates G(x) by the fit.  The history is
+    cleared when ||f||_2 grows, and a step without history is G(x)."""
 
-    def __init__(self, n, damping):
-        self.damping = damping
+    def __init__(self, n):
         self.dF = np.empty((n, ANDERSON_DEPTH), order="F")
         self.dG = np.empty((n, ANDERSON_DEPTH), order="F")
         self.f = self.g = None  # f and G(x) of the previous step
@@ -229,13 +215,10 @@ class _Anderson:
             self.next = (self.next + 1) % ANDERSON_DEPTH
             self.count = min(self.count + 1, ANDERSON_DEPTH)
         self.f, self.g, self.norm = f, g, norm
-        beta = self.damping
-        x_next = (1.0 - beta) * x + beta * gx
-        if self.count:
-            dF, dG = self.dF[:, :self.count], self.dG[:, :self.count]
-            gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
-            x_next -= (dG @ gamma - (1.0 - beta) * (dF @ gamma)).reshape(x.shape)
-        return x_next
+        if not self.count:
+            return gx
+        gamma = np.linalg.lstsq(self.dF[:, :self.count], f, rcond=None)[0]
+        return gx - (self.dG[:, :self.count] @ gamma).reshape(gx.shape)
 
 
 def _assemble_rhs(mesh, X, field):
@@ -276,35 +259,44 @@ def arclength_parametrization(curve, n_boundary, n_fine=4096):
     return np.interp(targets, s, thetas)
 
 
-def _relax(system, field, X, damping, config, log, final):
-    """Anderson-mixed Picard steps from X with mixing weight `damping`,
-    appending each update to log, until the update meets the level's
-    tolerance, the steps stall or config.max_iters run out.  The tolerance
-    is config.update_tol when final (the last continuation level) and
-    max(update_tol, LEVEL_REDUCTION * first update) otherwise.  Returns
-    (X, stalled)."""
+def _relax(system, field, X, config, log, level, final):
+    """Anderson-mixed Picard steps of continuation level `level` (1-based)
+    from X, appending each update to log, until the update meets the
+    level's tolerance or config.max_iters run out.  The tolerance is
+    config.update_tol when final (the last level) and max(update_tol,
+    LEVEL_REDUCTION * first update) otherwise.  Returns (X, contraction);
+    raises NoConvergence naming the level when the steps stall, and at once
+    (residual inf) when an iterate leaves the domain of the field."""
     mesh, interior = system.mesh, system.interior
     start = len(log)
     tol = config.update_tol
     x = X[interior]
-    mixer = _Anderson(x.size, damping)
+    mixer = _Anderson(x.size)
     for _ in range(config.max_iters):
-        b, _ = _assemble_rhs(mesh, X, field)
+        try:
+            b, _ = _assemble_rhs(mesh, X, field)
+        except FieldOutOfDomain as exc:
+            raise NoConvergence(len(log), np.inf, level=level) from exc
         x_next = mixer.step(x, system.solve_interior(b[interior]))
         update = float(np.max(np.abs(x_next - x)))
         x = x_next
         X = system.embed(x)
         log.append(update)
         if not np.isfinite(update):
-            return X, True
+            break
         if not final and len(log) == start + 1:
             tol = max(config.update_tol, LEVEL_REDUCTION * update)
         if update <= tol:
-            break
+            return X, _contraction(log[start:])
         earlier = len(log) - 1 - STALL_WINDOW
         if earlier >= start and update >= log[earlier]:
-            return X, True
-    return X, False
+            break
+    else:  # out of steps: the final residual test of `solve` decides
+        return X, _contraction(log[start:])
+    # stalled: not finite, or not below the update STALL_WINDOW steps earlier
+    residual = solve_residual(mesh, X, field)[0] if np.all(np.isfinite(X)) else np.inf
+    raise NoConvergence(len(log), residual, level=level,
+                        contraction=_contraction(log[start:]))
 
 
 def _contraction(updates):
@@ -316,37 +308,6 @@ def _contraction(updates):
         return None
     q = (tail[-1] / tail[0]) ** (1.0 / (len(tail) - 1))
     return float(q) if np.isfinite(q) else np.inf
-
-
-def _picard(system, field, X0, config, log, level, final):
-    """Picard iteration for continuation level `level` (1-based) from X0,
-    appending every update (restarts included) to log; `final` marks the
-    last level, the only one driven to config.update_tol.  A stalled run
-    restarts from X0 with the damping halved; returns (X, damping,
-    contraction) of the first run that does not stall and raises
-    NoConvergence naming the level after MAX_HALVINGS halvings, or at once
-    (residual inf) when an iterate leaves the domain of the field."""
-    for halvings in range(MAX_HALVINGS + 1):
-        damping = config.damping * 0.5**halvings
-        start = len(log)
-        try:
-            X, stalled = _relax(system, field, X0, damping, config, log, final)
-        except FieldOutOfDomain as exc:
-            raise NoConvergence(len(log), np.inf, level=level,
-                                damping=damping) from exc
-        if not stalled:
-            return X, damping, _contraction(log[start:])
-    raise NoConvergence(len(log), _failure_residual(system.mesh, X, field),
-                        level=level, damping=damping,
-                        contraction=_contraction(log[start:]))
-
-
-def _failure_residual(mesh, X, field):
-    """Residual of the iterate a stalled level ended on; inf when that
-    iterate is not finite."""
-    if not np.all(np.isfinite(X)):
-        return np.inf
-    return solve_residual(mesh, X, field)[0]
 
 
 def solve(mesh, curve, field, config=None):
@@ -362,32 +323,26 @@ def solve(mesh, curve, field, config=None):
     boundary_theta = arclength_parametrization(curve, mesh.n_theta)
 
     system = _DiskSystem(mesh, curve.points(boundary_theta))
-    X = system.embed(system.solve_interior())
+    X = system.embed(system.harmonic)
 
-    log, level_iterations, level_damping, level_contraction = [], [], [], []
+    log, level_iterations, level_contraction = [], [], []
     if getattr(field, "family", None) != "zero":
         n_levels = config.continuation_steps
         for level in range(1, n_levels + 1):
             start = len(log)
-            X, damping, contraction = _picard(
+            X, contraction = _relax(
                 system, field.scaled(level / n_levels), X, config, log, level,
                 final=level == n_levels)
             level_iterations.append(len(log) - start)
-            level_damping.append(damping)
             level_contraction.append(contraction)
 
     residual, scale = solve_residual(mesh, X, field)
     state = SurfaceState(
         mesh=mesh, X=X, boundary_theta=boundary_theta,
         iterations=len(log), residual=residual, iteration_log=log,
-        level_iterations=level_iterations, level_damping=level_damping,
-        level_contraction=level_contraction,
+        level_iterations=level_iterations, level_contraction=level_contraction,
     )
     if residual > config.residual_tol * scale or (log and log[-1] > config.update_tol):
-        raise NoConvergence(
-            state.iterations, residual,
-            level=len(level_iterations) or None,
-            damping=level_damping[-1] if level_damping else None,
-            contraction=level_contraction[-1] if level_contraction else None,
-        )
+        raise NoConvergence(len(log), residual, level=len(level_iterations) or None,
+                            contraction=level_contraction[-1] if level_contraction else None)
     return state

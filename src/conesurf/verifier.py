@@ -22,6 +22,7 @@ from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .errors import (
     EigensolverFailure,
+    FloatingPointFailure,
     InconsistentDegree,
     NotInjectiveAt,
     OriginHit,
@@ -524,57 +525,67 @@ def verify_surface(state, field, beta, axis_map=None, boundary=None,
     and `skipped`, plus `beta_convexity_margin` when given an `axis_map`.
     Each check is {name, value, tolerance, pass} with an optional
     `detail`.  `axis_map` enables the per-axis cone barriers; `boundary`
-    enables radial-graph extraction over the spherical domain."""
-    normals = gauss_map(state, branch_threshold)
-    density = density_field(state, field, normals)
-    mu1 = stability_eigenvalue(state, density)
-    enc = check_enclosure(state, beta, density)
-    rad = check_radial_normal(state, density, normals)
-    # (name, value, comparison, tolerance, detail); a check passes when
-    # comparison(value, tolerance) holds
-    rows = [
-        # a flagged triangle is a candidate branch point: none may remain
-        ("branch_point_count", float(len(normals.branch_triangles)), eq, 0.0,
-         {"triangles": normals.branch_triangles.tolist()}),
-        # mu_1 >= 0 up to the eigen-solve's discretization error, taken
-        # relative to the surface's scale median(E)
-        ("stability_eigenvalue", mu1, ge, -stability_tol * float(np.median(density.E)), None),
-        # the open cone: strictly positive barrier off the boundary
-        ("enclosure_interior_margin", enc["min_phi_interior"], gt, 0.0, enc),
-        # phi may vanish on the boundary ring, where the curve may touch the
-        # cone; -1e-9 is the round-off of that zero
-        ("enclosure_closed_margin", enc["min_phi_closed"], ge, -1e-9, None),
-        # N.X > 0 is strict; the vertex values carry no error bound yet
-        ("radial_normal_min", rad["min_NdotX"], gt, 0.0, rad),
-    ]
-    skipped = []
-    if axis_map is not None:
-        cc = check_cone_condition_functions(state, axis_map, beta, n_axes)
-        rows += [
-            # the paper's strict inequalities, compared exactly
-            ("cone_condition_interior", cc["min_interior_phi_p"], gt, 0.0, None),
-            ("cone_condition_normal_derivative", cc["max_normal_derivative"], lt, 0.0, None),
-        ]
-    else:
-        skipped.append("cone_condition_functions (no axis map)")
-    rows += [
-        # an integer winding number, exact
-        ("projection_degree", float(projection_degree(state, n_probe)), eq, 1.0, None),
-        # a fixed bound, not calibrated against mesh refinement
-        ("jacobian_identity_discrepancy", jacobian_identity_check(state), lt, 0.5, None),
-    ]
-    if boundary is not None:
-        # value: the grid directions with lambda > 0, or 0 when a direction
-        # is covered zero times or more than once; all of them must count
-        try:
-            lam = extract_radial_graph(state, domain_grid(boundary, grid_size))
-            value = float(np.count_nonzero(lam > 0.0))
-            detail = {"lambda_min": float(np.min(lam)), "lambda_max": float(np.max(lam))}
-        except (NotInjectiveAt, Uncovered) as exc:
-            value, detail = 0.0, {"error": str(exc)}
-        rows.append(("radial_graph_coverage", value, eq, float(grid_size), detail))
-    else:
-        skipped.append("radial_graph_extraction (no spherical domain)")
+    enables radial-graph extraction over the spherical domain.  A numpy
+    overflow, invalid value or division by zero in any check raises
+    FloatingPointFailure instead of leaking a RuntimeWarning."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            normals = gauss_map(state, branch_threshold)
+            density = density_field(state, field, normals)
+            mu1 = stability_eigenvalue(state, density)
+            enc = check_enclosure(state, beta, density)
+            rad = check_radial_normal(state, density, normals)
+            # (name, value, comparison, tolerance, detail); a check passes when
+            # comparison(value, tolerance) holds
+            rows = [
+                # a flagged triangle is a candidate branch point: none may remain
+                ("branch_point_count", float(len(normals.branch_triangles)), eq, 0.0,
+                 {"triangles": normals.branch_triangles.tolist()}),
+                # mu_1 >= 0 up to the eigen-solve's discretization error, taken
+                # relative to the surface's scale median(E)
+                ("stability_eigenvalue", mu1, ge,
+                 -stability_tol * float(np.median(density.E)), None),
+                # the open cone: strictly positive barrier off the boundary
+                ("enclosure_interior_margin", enc["min_phi_interior"], gt, 0.0, enc),
+                # phi may vanish on the boundary ring, where the curve may touch the
+                # cone; -1e-9 is the round-off of that zero
+                ("enclosure_closed_margin", enc["min_phi_closed"], ge, -1e-9, None),
+                # N.X > 0 is strict; the vertex values carry no error bound yet
+                ("radial_normal_min", rad["min_NdotX"], gt, 0.0, rad),
+            ]
+            skipped = []
+            if axis_map is not None:
+                cc = check_cone_condition_functions(state, axis_map, beta, n_axes)
+                rows += [
+                    # the paper's strict inequalities, compared exactly
+                    ("cone_condition_interior", cc["min_interior_phi_p"], gt, 0.0, None),
+                    ("cone_condition_normal_derivative", cc["max_normal_derivative"], lt,
+                     0.0, None),
+                ]
+            else:
+                skipped.append("cone_condition_functions (no axis map)")
+            rows += [
+                # an integer winding number, exact
+                ("projection_degree", float(projection_degree(state, n_probe)), eq, 1.0, None),
+                # a fixed bound, not calibrated against mesh refinement
+                ("jacobian_identity_discrepancy", jacobian_identity_check(state), lt, 0.5, None),
+            ]
+            if boundary is not None:
+                # value: the grid directions with lambda > 0, or 0 when a direction
+                # is covered zero times or more than once; all of them must count
+                try:
+                    lam = extract_radial_graph(state, domain_grid(boundary, grid_size))
+                    value = float(np.count_nonzero(lam > 0.0))
+                    detail = {"lambda_min": float(np.min(lam)), "lambda_max": float(np.max(lam))}
+                except (NotInjectiveAt, Uncovered) as exc:
+                    value, detail = 0.0, {"error": str(exc)}
+                rows.append(("radial_graph_coverage", value, eq, float(grid_size), detail))
+            else:
+                skipped.append("radial_graph_extraction (no spherical domain)")
+    except FloatingPointError as exc:
+        raise FloatingPointFailure(
+            f"floating-point error while verifying the surface: {exc} (largest"
+            f" coordinate magnitude {float(np.max(np.abs(state.X))):.3g})") from exc
 
     checks = []
     for name, value, compare, tolerance, detail in rows:

@@ -44,10 +44,10 @@ class TestSolveAndVerify:
         assert log["residual"] < 1e-7
         assert log["energy_F"] >= log["energy_G"] - 1e-10
         # one record per continuation level, summing to the whole count
-        assert len(log["level_iterations"]) == len(log["level_damping"]) == 4
+        assert len(log["level_iterations"]) == 4
         assert sum(log["level_iterations"]) == log["iterations"]
         assert log["iterations"] == len(log["iteration_log"])
-        assert log["level_damping"] == [1.0] * 4
+        assert "level_damping" not in log
         # a contraction estimate per level, each below 1 for this field
         assert len(log["level_contraction"]) == 4
         assert all(0.0 < q < 1.0 for q in log["level_contraction"])
@@ -212,6 +212,21 @@ class TestSolveAndVerify:
         assert "surface.obj:6: non-finite 'v' record" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_verify_types_overflowing_vertex(self, tmp_path, capsys, recwarn):
+        # a finite vertex whose triangle derivatives overflow: typed
+        # verification failure (exit 4) and no numpy warning
+        cfg_path = write_config(tmp_path, solve_config())
+        cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)])
+        lines = (tmp_path / "surface.obj").read_text().splitlines(keepends=True)
+        lines[5] = "v 1e308 1e308 1e308\n"
+        (tmp_path / "surface.obj").write_text("".join(lines))
+        assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert "floating-point error while verifying the surface" in err
+        assert "largest coordinate magnitude 1e+308" in err
+        assert not recwarn.list
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestCheckDomain:
     def test_pass(self, tmp_path):
@@ -365,7 +380,7 @@ class TestExitCodes:
         ("max_iters", 2.5), ("max_iters", True), ("max_iters", "3"),
         ("continuation_steps", 2.5), ("continuation_steps", True),
         ("continuation_steps", "3"),
-        ("damping", True), ("damping", "0.5"), ("residual_tol", "1e-8"),
+        ("residual_tol", "1e-8"),
         ("update_tol", False), ("residual_tol", float("inf")), ("update_tol", float("inf")),
         ("max_iters", 0), ("max_iters", -1),
         ("continuation_steps", 101), ("continuation_steps", 1000000),
@@ -375,6 +390,15 @@ class TestExitCodes:
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "surface.obj").exists()
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, True])
+    def test_removed_damping_key_rejected(self, tmp_path, capsys, value):
+        # a stalled continuation level fails at once; no damping is tried
+        cfg = solve_config(solver={"max_iters": 400, "damping": value})
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "unknown solver key 'damping'" in capsys.readouterr().err
         assert not (tmp_path / "surface.obj").exists()
 
     @pytest.mark.parametrize("content,named", [
@@ -622,7 +646,7 @@ def spelled_out(command):
                      "g": {"const": 1.0, "cos": [], "sin": []}},
         "field": {"family": "radial", "c": 0.9 / 6.0},
         "mesh": {"n_r": 24, "n_theta": 48},
-        "solver": {"max_iters": 200, "damping": 1.0, "residual_tol": 1e-8,
+        "solver": {"max_iters": 200, "residual_tol": 1e-8,
                    "update_tol": 1e-11, "continuation_steps": 4},
         "verify": {"grid_size": 512, "n_boundary": n_boundary, "n_domain": n_domain,
                    "n_axes": 16, "n_probe": 8, "branch_threshold": 1e-6,

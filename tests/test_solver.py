@@ -10,7 +10,6 @@ from conesurf.solver import (
     ANDERSON_DEPTH,
     LEVEL_REDUCTION,
     MAX_CONTINUATION_STEPS,
-    MAX_HALVINGS,
     STALL_WINDOW,
     SurfaceState,
     _Anderson,
@@ -34,9 +33,9 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "kw",
-        [dict(damping=0.0), dict(damping=1.5), dict(residual_tol=0.0),
+        [dict(update_tol=0.0), dict(residual_tol=-1.0), dict(residual_tol=0.0),
          dict(update_tol=-1e-9), dict(continuation_steps=0),
-         dict(residual_tol=float("nan")), dict(damping=float("nan")),
+         dict(residual_tol=float("nan")), dict(update_tol=float("nan")),
          dict(residual_tol=float("inf")), dict(update_tol=float("inf")),
          dict(max_iters=0), dict(max_iters=-1),
          dict(continuation_steps=MAX_CONTINUATION_STEPS + 1),
@@ -50,7 +49,7 @@ class TestConfig:
         "kw",
         [dict(max_iters=2.5), dict(max_iters=True), dict(max_iters="3"),
          dict(continuation_steps=2.0), dict(continuation_steps=False),
-         dict(damping=True), dict(damping="1"), dict(residual_tol=None),
+         dict(residual_tol=True), dict(update_tol="1e-11"), dict(residual_tol=None),
          dict(update_tol=True)],
     )
     def test_rejects_bad_types(self, kw):
@@ -58,7 +57,7 @@ class TestConfig:
             cs.SolveConfig(**kw)
 
     def test_accepts_numpy_and_int_numbers(self):
-        cfg = cs.SolveConfig(max_iters=np.int64(5), damping=1, residual_tol=np.float64(1e-8))
+        cfg = cs.SolveConfig(max_iters=np.int64(5), update_tol=1, residual_tol=np.float64(1e-8))
         assert cfg.max_iters == 5
 
 
@@ -280,19 +279,14 @@ MAX_ITERATIONS = {0.9: 20, 3.0: 30, 4.0: 60, 5.0: 140}
 
 
 class TestStallFallback:
-    # (strength / c_beta, final damping per level, iterations of damped
-    # Picard steps with damping 0.5 on every step)
-    @pytest.mark.parametrize("strength,damping,damped_iterations", [
-        (0.9, [1.0, 1.0, 1.0, 1.0], 134),
-        (3.0, [1.0, 1.0, 1.0, 1.0], 226),
-        (4.0, [1.0, 1.0, 1.0, 1.0], 450),
-        (5.0, [1.0, 1.0, 1.0, 1.0], 714),
+    # (strength / c_beta, iterations of damped Picard steps with damping 0.5
+    # on every step)
+    @pytest.mark.parametrize("strength,damped_iterations", [
+        (0.9, 134), (3.0, 226), (4.0, 450), (5.0, 714),
     ])
-    def test_converges_beyond_growth_bound(self, seed1_cap, strength, damping,
-                                           damped_iterations):
+    def test_converges_beyond_growth_bound(self, seed1_cap, strength, damped_iterations):
         st = radial_solve(seed1_cap, strength)
         assert st.residual < 1e-8
-        assert st.level_damping == damping
         assert sum(st.level_iterations) == st.iterations == len(st.iteration_log)
         assert st.iterations < damped_iterations
         assert st.iterations <= MAX_ITERATIONS[strength]
@@ -302,15 +296,12 @@ class TestStallFallback:
             radial_solve(seed1_cap, 10.0)
         exc = info.value
         assert exc.level == 3
-        assert exc.damping == 0.5**MAX_HALVINGS
-        assert "level 3" in str(exc) and "damping 0.125" in str(exc)
-        # levels 1 and 2 (2.5 and 5 c_beta) are the two levels of this solve
-        done = radial_solve(seed1_cap, 5.0, continuation_steps=2)
-        assert exc.iterations - done.iterations <= 160
+        assert "level 3" in str(exc) and "damping" not in str(exc)
         # damped Picard steps failed after 273 iterations, 1223 with damping
-        # 0.5 on every step; the Anderson-mixed solve fails after 136
-        assert exc.iterations <= 160
-        assert exc.contraction is not None and "contraction" in str(exc)
+        # 0.5 on every step; Anderson steps with three damped restarts of the
+        # failing level after 136, and with one run of it after 40
+        assert exc.iterations <= 45
+        assert exc.contraction > 1.0 and "contraction" in str(exc)
 
     def test_thirty_times_bound_fails_typed_without_warnings(self, seed1_cap):
         with warnings.catch_warnings():
@@ -319,26 +310,27 @@ class TestStallFallback:
                 radial_solve(seed1_cap, 30.0)
 
 
-class TestHalvingsStay:
-    # each field converges only with a halved level: undamped Anderson
-    # steps stall on it; damped Picard steps failed power at 5 c_beta
-    @pytest.mark.parametrize("family,strength", [
-        ("modulated", 3.0), ("power", 3.0), ("power", 5.0),
+class TestStalledLevelFails:
+    # Anderson steps stall on each field at the given level.  Restarting
+    # the level with halved damping converged every one of them, to a fixed
+    # point outside the cone (interior enclosure margin -0.163, -0.585 and
+    # -1.160), not to the paper's surface
+    @pytest.mark.parametrize("family,strength,level", [
+        ("modulated", 3.0, 4), ("power", 3.0, 4), ("power", 5.0, 2),
     ])
-    def test_converges_with_a_halved_level(self, seed1_cap, monkeypatch, family,
-                                           strength):
+    def test_fails_at_the_stalled_level(self, seed1_cap, family, strength, level):
         curve, mesh, c_beta = seed1_cap
         c = strength * c_beta
         extra = dict(a=0.3 * c) if family == "modulated" else dict(s=0.5)
         field = cs.CurvatureField(family, c=c, **extra)
-        config = cs.SolveConfig(max_iters=400)
-        st = cs.solve(mesh, curve, field, config)
-        assert st.residual < 1e-8
-        assert min(st.level_damping) < 1.0
-        monkeypatch.setattr(cs.solver, "MAX_HALVINGS", 0)
         with pytest.raises(NoConvergence) as info:
-            cs.solve(mesh, curve, field, config)
-        assert info.value.damping == 1.0
+            cs.solve(mesh, curve, field, cs.SolveConfig(max_iters=400))
+        exc = info.value
+        assert exc.level == level
+        # measured 55, 48 and 36 steps: the levels before it and one run of
+        # the stalled level
+        assert exc.iterations <= 60
+        assert exc.contraction > 1.0
 
 
 def linear_map(n=4, q=0.9, seed=0):
@@ -352,19 +344,19 @@ def linear_map(n=4, q=0.9, seed=0):
 
 
 class TestAnderson:
-    def test_step_without_history_is_damped_picard(self):
+    def test_step_without_history_is_picard(self):
         rng = np.random.default_rng(1)
         x, gx = rng.standard_normal((2, 7, 3))
-        step = _Anderson(x.size, 0.25).step(x, gx)
-        assert np.array_equal(step, 0.75 * x + 0.25 * gx)
+        step = _Anderson(x.size).step(x, gx)
+        assert np.array_equal(step, gx)
 
     def test_linear_map_solved_in_dimension_plus_one_steps(self):
         G, fixed = linear_map()
-        mixer, x = _Anderson(4, 1.0), np.zeros(4)
+        mixer, x = _Anderson(4), np.zeros(4)
         for _ in range(5):
             x = mixer.step(x, G(x))
         assert np.max(np.abs(x - fixed)) < 1e-12
-        # damped Picard steps (here plain ones) still lag by about q^5
+        # plain Picard steps still lag by about q^5
         y = np.zeros(4)
         for _ in range(5):
             y = G(y)
@@ -372,7 +364,7 @@ class TestAnderson:
 
     def test_history_is_preallocated_and_bounded(self):
         G, _ = linear_map(n=12, q=0.95)
-        mixer, x = _Anderson(12, 0.5), np.zeros(12)
+        mixer, x = _Anderson(12), np.zeros(12)
         dF, dG = mixer.dF, mixer.dG
         for k in range(3 * ANDERSON_DEPTH):
             x = mixer.step(x, G(x))
@@ -381,7 +373,7 @@ class TestAnderson:
         assert dF.shape == dG.shape == (12, ANDERSON_DEPTH)
 
     def test_growing_residual_clears_history(self):
-        mixer, x = _Anderson(3, 1.0), np.zeros(3)
+        mixer, x = _Anderson(3), np.zeros(3)
         mixer.step(x, np.ones(3))
         mixer.step(x, 0.5 * np.ones(3))
         assert mixer.count == 1
@@ -396,8 +388,8 @@ def relifting_solve(mesh, curve, field, config):
     part (the polar solve of the lift -K_ib g plus one refinement step)
     recomputed and the iterate rebuilt at every step; the steps are mixed
     by the solver's `_Anderson`.  Returns (X, iteration_log,
-    [(iterations, damping, contraction) per level]) or, when a level fails,
-    (None, iteration_log, (level, damping))."""
+    [(iterations, contraction) per level]) or, when a level stalls,
+    (None, iteration_log, level)."""
     g = curve.points(arclength_parametrization(curve, mesh.n_theta))
     K = mesh.stiffness.tocsc()
     K_ib = K[np.ix_(mesh.interior, mesh.boundary)]
@@ -423,33 +415,24 @@ def relifting_solve(mesh, curve, field, config):
     X, log, levels = iterate(dirichlet()), [], []
     n = config.continuation_steps
     for level in range(1, n + 1):
-        level_field, final, X0, level_start = field.scaled(level / n), level == n, X, len(log)
-        for halvings in range(MAX_HALVINGS + 1):
-            damping = config.damping * 0.5**halvings
-            X, start, tol, stalled = X0, len(log), config.update_tol, False
-            mixer = _Anderson(X0[mesh.interior].size, damping)
-            for _ in range(config.max_iters):
-                x = X[mesh.interior]
-                x_next = mixer.step(x, dirichlet(interior_load(X, level_field)))
-                update = float(np.max(np.abs(x_next - x)))
-                X = iterate(x_next)
-                log.append(update)
-                if not np.isfinite(update):
-                    stalled = True
-                    break
-                if not final and len(log) == start + 1:
-                    tol = max(config.update_tol, LEVEL_REDUCTION * update)
-                if update <= tol:
-                    break
-                earlier = len(log) - 1 - STALL_WINDOW
-                if earlier >= start and update >= log[earlier]:
-                    stalled = True
-                    break
-            if not stalled:
+        level_field, final, start = field.scaled(level / n), level == n, len(log)
+        tol, mixer = config.update_tol, _Anderson(X[mesh.interior].size)
+        for _ in range(config.max_iters):
+            x = X[mesh.interior]
+            x_next = mixer.step(x, dirichlet(interior_load(X, level_field)))
+            update = float(np.max(np.abs(x_next - x)))
+            X = iterate(x_next)
+            log.append(update)
+            if not np.isfinite(update):
+                return None, log, level
+            if not final and len(log) == start + 1:
+                tol = max(config.update_tol, LEVEL_REDUCTION * update)
+            if update <= tol:
                 break
-        else:
-            return None, log, (level, damping)
-        levels.append((len(log) - level_start, damping, _contraction(log[start:])))
+            earlier = len(log) - 1 - STALL_WINDOW
+            if earlier >= start and update >= log[earlier]:
+                return None, log, level
+        levels.append((len(log) - start, _contraction(log[start:])))
     return X, log, levels
 
 
@@ -464,7 +447,7 @@ class TestLiftOncePerSolve:
         X, log, levels = relifting_solve(mesh, curve, field, config)
         assert np.array_equal(st.X, X)
         assert st.iteration_log == log
-        assert list(zip(st.level_iterations, st.level_damping, st.level_contraction)) == levels
+        assert list(zip(st.level_iterations, st.level_contraction)) == levels
 
     def test_ten_times_bound_fails_where_relifting_fails(self, seed1_cap):
         curve, mesh, c_beta = seed1_cap
@@ -472,9 +455,9 @@ class TestLiftOncePerSolve:
         config = cs.SolveConfig(max_iters=400)
         with pytest.raises(NoConvergence) as info:
             cs.solve(mesh, curve, field, config)
-        X, log, (level, damping) = relifting_solve(mesh, curve, field, config)
+        X, log, level = relifting_solve(mesh, curve, field, config)
         assert X is None
-        assert (info.value.level, info.value.damping) == (level, damping) == (3, 0.125)
+        assert info.value.level == level == 3
         assert info.value.iterations == len(log)
 
 
@@ -506,19 +489,19 @@ class TestInexactContinuation:
 class TestNoConvergence:
     def test_positional_fields(self):
         exc = NoConvergence(12, 3.5)
-        assert (exc.iterations, exc.residual, exc.level, exc.damping) == (12, 3.5, None, None)
+        assert (exc.iterations, exc.residual, exc.level, exc.contraction) == (12, 3.5, None, None)
         assert str(exc) == "no convergence after 12 iterations (residual 3.500e+00)"
 
-    def test_message_names_level_and_damping(self):
-        exc = NoConvergence(12, 3.5, level=2, damping=0.25)
-        assert "at continuation level 2 with damping 0.25" in str(exc)
+    def test_message_names_level(self):
+        exc = NoConvergence(12, 3.5, level=2)
+        assert str(exc) == ("no convergence after 12 iterations at continuation"
+                            " level 2 (residual 3.500e+00)")
 
     def test_message_names_contraction(self):
-        exc = NoConvergence(12, 3.5, level=2, damping=0.25, contraction=1.0123)
+        exc = NoConvergence(12, 3.5, level=2, contraction=1.0123)
         assert exc.contraction == 1.0123
         assert str(exc) == ("no convergence after 12 iterations at continuation"
-                            " level 2 with damping 0.25, contraction 1.012"
-                            " (residual 3.500e+00)")
+                            " level 2, contraction 1.012 (residual 3.500e+00)")
 
     def test_iterate_leaving_field_domain(self, seed1_cap, monkeypatch):
         calls = []
@@ -534,14 +517,13 @@ class TestNoConvergence:
         with pytest.raises(NoConvergence) as info:
             radial_solve(seed1_cap, 0.9)
         exc = info.value
-        assert (exc.iterations, exc.residual, exc.level, exc.damping) == (2, np.inf, 1, 1.0)
+        assert (exc.iterations, exc.residual, exc.level, exc.contraction) == (2, np.inf, 1, None)
         assert isinstance(exc.__cause__, FieldOutOfDomain)
 
 
 # a non-default value per SolveConfig field; a field without an entry fails
 NON_DEFAULT = {
     "max_iters": 3,
-    "damping": 0.5,
     "residual_tol": 1e-30,
     "update_tol": 1e-6,
     "continuation_steps": 2,
