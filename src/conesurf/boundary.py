@@ -82,11 +82,13 @@ class SphericalBoundary:
         dw = -ad * sa
         return np.stack([du, dv, dw], axis=-1)
 
-    def domain_samples(self, n):
-        """Points of the closed domain Omega (star-shaped sampling)."""
-        rng = np.random.default_rng(7)
+    def domain_samples(self, n, seed=7, margin=0.0):
+        """n seeded points of the closed domain Omega (star-shaped
+        sampling), kept `margin` of the colatitude away from its edge."""
+        rng = np.random.default_rng(seed)
         theta = rng.uniform(0.0, 2.0 * np.pi, n)
-        frac = np.sqrt(rng.uniform(0.0, 1.0, n))  # denser toward the boundary
+        # denser toward the boundary
+        frac = np.sqrt(rng.uniform(0.0, 1.0, n)) * (1.0 - margin)
         a = frac * self.alpha(theta)
         sa, ca = np.sin(a), np.cos(a)
         return np.stack([sa * np.cos(theta), sa * np.sin(theta), ca], axis=-1)

@@ -10,16 +10,16 @@ Every config object is read through one table, `SCHEMA`, by one reader,
 `read`: an unknown key, a missing required key or a value of the wrong
 kind exits 2 naming the key, and absent keys take the table's defaults.
 A command reads only the blocks it uses.  Left outside the table are the
-checks that span keys (beta + delta, `eps_list`, the boundary type), the
-field's parameters (checked by `CurvatureField`), the solver's values
-(checked by `SolveConfig`) and the defaults that differ between commands
+boundary type, which selects its block's keys, the field's parameters
+(checked by `CurvatureField`), the solver's values (checked by
+`SolveConfig`) and the defaults that differ between commands
 (`check-domain`'s AxisMap sizes, each command's `report` name).
 
 Exit codes: 0 success, 2 invalid or unreadable input, 3 solver failure,
 4 verification failure.  All reports are JSON with `"schema": 1`;
 meshes are OBJ, tables CSV.  The orchestration is sequential, so
 identical configs yield bit-identical reports; `--threads` is accepted
-for interface compatibility and `1` is always honored.
+for interface compatibility and ignored.
 """
 
 import argparse
@@ -66,6 +66,10 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
+# cap widths of the smoothed-cone profiles that `profile-cone` builds; each
+# halving should about double the minimum cap curvature
+EPS_LIST = (0.1, 0.05, 0.025)
+
 
 # ---------------------------------------------------------------------------
 # Config schema
@@ -75,8 +79,6 @@ REQUIRED = object()  # the default of a key the config must give
 # The kinds of config values, each (test, what a value must be, conversion).
 REAL = (is_real, "a finite real number", float)
 ANGLE = (lambda v: is_real(v) and 0.0 < v < np.pi / 2, "an angle in (0, pi/2)", float)
-# below 1, every triangle with E >= median(E) keeps its Gauss-map normal
-FRACTION = (lambda v: is_real(v) and 0.0 <= v < 1.0, "a real number in [0, 1)", float)
 REALS = (lambda v: isinstance(v, list) and all(map(is_real, v)),
          "a list of finite real numbers", lambda v: [float(x) for x in v])
 COUNT = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
@@ -88,15 +90,14 @@ NAME = (lambda v: isinstance(v, str) and v != "", "a non-empty string", str)
 OBJECT = SOLVER = None
 
 # {object: {key: (kind, default)}} of every config object; "config" is the
-# root, and each name ends with the key its object sits under.  An absent
-# delta is select_delta(beta); the field block holds `family` and that
-# family's parameters, which CurvatureField checks.
+# root, and each name ends with the key its object sits under.  The field
+# block holds `family` and that family's parameters, which CurvatureField
+# checks.
 SCHEMA = {
     "config": {"cone": (OBJECT, REQUIRED), "boundary": (OBJECT, REQUIRED),
                "field": (OBJECT, REQUIRED), "mesh": (OBJECT, {}), "solver": (OBJECT, {}),
                "verify": (OBJECT, {}), "output": (OBJECT, {})},
-    "cone": {"beta": (ANGLE, REQUIRED), "delta": (REAL, None),
-             "eps_list": (REALS, [0.1, 0.05, 0.025])},
+    "cone": {"beta": (ANGLE, REQUIRED)},
     "cap boundary": {"type": (NAME, "cap"), "alpha_c": (ANGLE, REQUIRED),
                      "g": (OBJECT, {"const": 1.0})},
     "perturbed_cap boundary": {"type": (NAME, REQUIRED), "alpha_c": (ANGLE, REQUIRED),
@@ -106,8 +107,7 @@ SCHEMA = {
     "mesh": {"n_r": (COUNT, 24), "n_theta": (COUNT, 48)},
     "solver": {f.name: (SOLVER, f.default) for f in dataclasses.fields(SolveConfig)},
     "verify": {"grid_size": (COUNT, 512), "n_boundary": (COUNT, 128),
-               "n_domain": (COUNT, 1024), "n_axes": (COUNT, 16), "n_probe": (COUNT, 8),
-               "branch_threshold": (FRACTION, 1e-6), "stability_tol": (REAL, 1e-3)},
+               "n_domain": (COUNT, 1024)},
     "output": {"surface_obj": (NAME, "surface.obj"), "solve_log": (NAME, "solve.json"),
                "report": (NAME, "report.json"), "radial_graph_csv": (NAME, "radial_graph.csv"),
                "profile_csv": (NAME, "profile.csv")},
@@ -158,20 +158,6 @@ def _built(what, build, *args, **kwargs):
 
 def parse_beta(config):
     return read(config["cone"], "cone")["beta"]
-
-
-def parse_profiles(config, beta):
-    """(delta, eps_list) of the cone block: beta + delta in (0, pi/2), and
-    eps_list a non-empty list of positive reals."""
-    cone = read(config["cone"], "cone")
-    delta, eps_list = cone["delta"], cone["eps_list"]
-    if delta is None:
-        delta = select_delta(beta)
-    elif not 0.0 < beta + delta < np.pi / 2:
-        raise ConfigInvalid(f"cone key 'delta' {delta!r}: beta + delta not in (0, pi/2)")
-    if not eps_list or min(eps_list) <= 0.0:
-        raise ConfigInvalid(f"cone key 'eps_list' must hold positive reals, got {eps_list!r}")
-    return float(delta), eps_list
 
 
 def parse_boundary(config):
@@ -262,14 +248,8 @@ def run_verify(config, out_dir, surface_path=None):
     axis_map = AxisMap(
         boundary, beta, n_boundary=opts["n_boundary"], n_domain=opts["n_domain"],
     )
-    report = verify_surface(
-        state, field, beta, axis_map=axis_map, boundary=boundary,
-        grid_size=opts["grid_size"],
-        branch_threshold=opts["branch_threshold"],
-        stability_tol=opts["stability_tol"],
-        n_axes=opts["n_axes"],
-        n_probe=opts["n_probe"],
-    )
+    report = verify_surface(state, field, beta, axis_map=axis_map, boundary=boundary,
+                            grid_size=opts["grid_size"])
     io.write_json(paths["report"], report)
 
     # radial-graph CSV table over domain_grid's seeded random sample of the domain
@@ -315,13 +295,13 @@ def run_check_domain(config, out_dir):
 
 def run_profile_cone(config, out_dir):
     beta = parse_beta(config)
-    delta, eps_list = parse_profiles(config, beta)
+    delta = select_delta(beta)
     field = None if config["field"] is REQUIRED else parse_field(config)
     paths = parse_output(config, out_dir, report="profile_report.json")
     reports = []
     tables = []
     mins = []
-    for eps in eps_list:
+    for eps in EPS_LIST:
         profile = make_profile(beta, delta, eps)
         jumps = junction_jumps(profile)
         m = min_cap_curvature(profile, 256)
@@ -375,7 +355,7 @@ def build_parser():
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="1 guarantees bit-reproducible reports")
+                       help="accepted for compatibility and ignored")
         if name == "verify":
             p.add_argument("--surface", default=None, help="OBJ surface artifact")
     return parser

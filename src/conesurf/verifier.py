@@ -26,13 +26,18 @@ from .errors import (
     InconsistentDegree,
     NotInjectiveAt,
     OriginHit,
-    OutOfRange,
     Uncovered,
 )
-from .fields import is_real
 from .geometry import stereographic_south, winding_degree
 
+# A triangle with E <= BRANCH_THRESHOLD * median(E) is a candidate branch
+# point; below 1, at least half of the triangles keep their normal.
 BRANCH_THRESHOLD = 1e-6
+# The surface is stable when mu_1 >= -STABILITY_TOL * median(E).
+STABILITY_TOL = 1e-3
+# Boundary vertices whose cone axis is tested, and winding-degree probes.
+N_AXES = 16
+N_PROBE = 8
 # Residual bound on the stability eigenpair, in the 2-norm with the vector
 # M-normalized.  The Rayleigh quotient's error is about residual^2 / gap;
 # 1e-8 gives mu_1 within 5e-13 relative of shift-invert Lanczos on meshes
@@ -56,18 +61,15 @@ class NormalField:
     branch_triangles: np.ndarray  # indices of flagged triangles
 
 
-def gauss_map(state, branch_threshold=BRANCH_THRESHOLD):
+def gauss_map(state):
     """Unit normal (X_u ^ X_v)/|X_u ^ X_v| per triangle; triangles with
-    E <= threshold * median(E) are flagged as candidate branch points.  The
-    threshold is in [0, 1), so at least half of the triangles are defined."""
-    if not (is_real(branch_threshold) and 0.0 <= branch_threshold < 1.0):
-        raise OutOfRange(f"branch_threshold must be a real number in [0, 1), "
-                         f"got {branch_threshold!r}")
+    E <= BRANCH_THRESHOLD * median(E) are flagged as candidate branch
+    points."""
     mesh = state.mesh
     xu, xv = state.triangle_derivatives()
     w = np.cross(xu, xv)
     e = np.einsum("ij,ij->i", xu, xu)
-    defined = e > branch_threshold * np.median(e)
+    defined = e > BRANCH_THRESHOLD * np.median(e)
     n = np.full_like(w, np.nan)
     norms = np.linalg.norm(w, axis=1)
     ok = defined & (norms > 0)
@@ -135,10 +137,10 @@ def density_field(state, field, normals):
     return DensityField(p=p, E=E, K=K, H=h, grad_H=gh, grad_H_dot_N=ghn, defined=defined)
 
 
-def stability_eigenvalue(state, density):
+def stability_eigenvalue(state, p):
     """Smallest eigenvalue mu_1 of (stiffness - 2 p mass) phi = mu mass phi
-    with zero boundary values; verify_surface calls the surface stable when
-    mu_1 >= -stability_tol * median(E).
+    with zero boundary values, for the per-vertex density p; verify_surface
+    calls the surface stable when mu_1 >= -STABILITY_TOL * median(E).
 
     mu_1 comes from LOBPCG (Knyazev 2001) preconditioned by the mesh's polar
     solve of the interior stiffness K_II, so no sparse factorization is
@@ -146,7 +148,6 @@ def stability_eigenvalue(state, density):
     exceeds EIGEN_TOL, and any exception or warning raised by the solve,
     raises EigensolverFailure."""
     mesh = state.mesh
-    p = density.p if hasattr(density, "p") else np.asarray(density, dtype=float)
     # the interior vertices are the prefix 0 .. n-1 of the mesh layout
     n = len(mesh.interior)
 
@@ -261,16 +262,16 @@ def _safe_unit(v):
     return v / n[:, None]
 
 
-def check_cone_condition_functions(state, axis_map, beta, n_axes=16):
-    """Per sampled boundary vertex: interior minimum of the cone barrier
-    phi_p for the axis at that point (expected > 0) and the outward normal
-    derivative of phi_p there (expected < 0)."""
+def check_cone_condition_functions(state, axis_map, beta):
+    """Per boundary vertex of N_AXES equally spaced ones: interior minimum
+    of the cone barrier phi_p for the axis at that point (expected > 0) and
+    the outward normal derivative of phi_p there (expected < 0)."""
     mesh = state.mesh
     X = state.X
     r = np.linalg.norm(X, axis=1)
     cosb = np.cos(beta)
     n_b = len(state.boundary_theta)
-    sample_js = np.linspace(0, n_b, n_axes, endpoint=False).astype(int)
+    sample_js = np.linspace(0, n_b, N_AXES, endpoint=False).astype(int)
 
     interior_mins = []
     normal_derivs = []
@@ -340,9 +341,9 @@ def _rotation_to_north(v):
     return np.eye(3) + s * Kx + (1.0 - c) * (Kx @ Kx)
 
 
-def projection_degree(state, n_probe=8):
+def projection_degree(state):
     """Winding degree of the stereographic image of the projected boundary
-    ring around interior probe points; all probes must agree."""
+    ring around N_PROBE interior probe points; all probes must agree."""
     mesh = state.mesh
     X = state.X
     S = X / np.linalg.norm(X, axis=1)[:, None]
@@ -354,8 +355,8 @@ def projection_degree(state, n_probe=8):
     loop = stereographic_south(S_rot[mesh.boundary])
     center = loop.mean(axis=0)
     degs = []
-    for i in range(n_probe):
-        j = (i * len(loop)) // n_probe
+    for i in range(N_PROBE):
+        j = (i * len(loop)) // N_PROBE
         q = center + 0.25 * (loop[j] - center)
         degs.append(winding_degree(loop, q))
     if len(set(degs)) != 1:
@@ -383,14 +384,10 @@ def jacobian_identity_check(state):
     return float(np.max(np.abs(left - right)) / scale)
 
 
-def domain_grid(boundary, n, rng_seed=11, margin=0.05):
-    """n unit vectors strictly inside the spherical domain."""
-    rng = np.random.default_rng(rng_seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, n)
-    frac = np.sqrt(rng.uniform(0.0, 1.0, n)) * (1.0 - margin)
-    a = frac * boundary.alpha(theta)
-    sa, ca = np.sin(a), np.cos(a)
-    return np.stack([sa * np.cos(theta), sa * np.sin(theta), ca], axis=-1)
+def domain_grid(boundary, n):
+    """n seeded unit vectors strictly inside the spherical domain, the
+    radial graph's sample."""
+    return boundary.domain_samples(n, seed=11, margin=0.05)
 
 
 EDGE_TOL = 1e-10
@@ -517,9 +514,7 @@ def extract_radial_graph(state, grid):
 # Report assembly
 
 
-def verify_surface(state, field, beta, axis_map=None, boundary=None,
-                   grid_size=512, branch_threshold=BRANCH_THRESHOLD,
-                   stability_tol=1e-3, n_axes=16, n_probe=8):
+def verify_surface(state, field, beta, axis_map=None, boundary=None, grid_size=512):
     """Run every geometric check on a converged state and return the
     `report.json` dict: `schema`, `pass` (every check passes), `checks`
     and `skipped`, plus `beta_convexity_margin` when given an `axis_map`.
@@ -530,9 +525,9 @@ def verify_surface(state, field, beta, axis_map=None, boundary=None,
     FloatingPointFailure instead of leaking a RuntimeWarning."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            normals = gauss_map(state, branch_threshold)
+            normals = gauss_map(state)
             density = density_field(state, field, normals)
-            mu1 = stability_eigenvalue(state, density)
+            mu1 = stability_eigenvalue(state, density.p)
             enc = check_enclosure(state, beta, density)
             rad = check_radial_normal(state, density, normals)
             # (name, value, comparison, tolerance, detail); a check passes when
@@ -544,7 +539,7 @@ def verify_surface(state, field, beta, axis_map=None, boundary=None,
                 # mu_1 >= 0 up to the eigen-solve's discretization error, taken
                 # relative to the surface's scale median(E)
                 ("stability_eigenvalue", mu1, ge,
-                 -stability_tol * float(np.median(density.E)), None),
+                 -STABILITY_TOL * float(np.median(density.E)), None),
                 # the open cone: strictly positive barrier off the boundary
                 ("enclosure_interior_margin", enc["min_phi_interior"], gt, 0.0, enc),
                 # phi may vanish on the boundary ring, where the curve may touch the
@@ -555,7 +550,7 @@ def verify_surface(state, field, beta, axis_map=None, boundary=None,
             ]
             skipped = []
             if axis_map is not None:
-                cc = check_cone_condition_functions(state, axis_map, beta, n_axes)
+                cc = check_cone_condition_functions(state, axis_map, beta)
                 rows += [
                     # the paper's strict inequalities, compared exactly
                     ("cone_condition_interior", cc["min_interior_phi_p"], gt, 0.0, None),
@@ -566,7 +561,7 @@ def verify_surface(state, field, beta, axis_map=None, boundary=None,
                 skipped.append("cone_condition_functions (no axis map)")
             rows += [
                 # an integer winding number, exact
-                ("projection_degree", float(projection_degree(state, n_probe)), eq, 1.0, None),
+                ("projection_degree", float(projection_degree(state)), eq, 1.0, None),
                 # a fixed bound, not calibrated against mesh refinement
                 ("jacobian_identity_discrepancy", jacobian_identity_check(state), lt, 0.5, None),
             ]

@@ -192,7 +192,7 @@ def test_criterion_7_end_to_end_invariants(endtoend):
                 enc = check_enclosure(state, BETA, density)
                 assert enc["min_phi_interior"] > 0
                 assert rad["min_NdotX"] > 0
-                mu1 = stability_eigenvalue(state, density)
+                mu1 = stability_eigenvalue(state, density.p)
                 assert mu1 >= -1e-3 * float(np.median(density.E))
                 assert projection_degree(state) == 1
                 grid = domain_grid(boundary, 512)

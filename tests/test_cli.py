@@ -296,27 +296,15 @@ class TestProfileCone:
 
     def test_with_field_enclosure(self, tmp_path):
         cfg = {
-            "cone": {"beta": BETA, "eps_list": [0.05]},
+            "cone": {"beta": BETA},
             "field": {"family": "radial", "c": 0.05},
         }
         cfg_path = write_config(tmp_path, cfg)
         rc = cli.main(["profile-cone", "--config", cfg_path, "--out", str(tmp_path)])
         assert rc == 0
         rep = json.loads((tmp_path / "profile_report.json").read_text())
-        assert "enclosure" in rep["profiles"][0]
-
-
-    @pytest.mark.parametrize("key,value", [
-        ("eps_list", ["abc"]), ("eps_list", 5), ("eps_list", [-0.1]), ("eps_list", [0.1, 0.0]),
-        ("eps_list", []), ("eps_list", [True]), ("delta", "x"), ("delta", 1.0),
-        ("delta", -BETA),
-    ])
-    def test_mistyped_cone_key_rejected(self, tmp_path, capsys, key, value):
-        cfg_path = write_config(tmp_path, {"cone": {"beta": BETA, key: value}})
-        assert cli.main(["profile-cone", "--config", cfg_path, "--out", str(tmp_path)]) == 2
-        assert f"'{key}'" in capsys.readouterr().err
-        assert not (tmp_path / "profile_report.json").exists()
-        assert not (tmp_path / "profile.csv").exists()
+        assert [r["eps"] for r in rep["profiles"]] == list(cli.EPS_LIST)
+        assert all("enclosure" in r for r in rep["profiles"])
 
 
 class TestExitCodes:
@@ -401,9 +389,32 @@ class TestExitCodes:
         assert "unknown solver key 'damping'" in capsys.readouterr().err
         assert not (tmp_path / "surface.obj").exists()
 
+    @pytest.mark.parametrize("block,key,value", [
+        ("cone", "delta", cone_smoothing.select_delta(BETA)),
+        ("cone", "eps_list", [0.1, 0.05, 0.025]), ("verify", "n_axes", 16),
+        ("verify", "n_probe", 8), ("verify", "branch_threshold", 1e-6),
+        ("verify", "stability_tol", 1e-3),
+    ], ids=["delta", "eps_list", "n_axes", "n_probe", "branch_threshold", "stability_tol"])
+    def test_removed_key_rejected(self, tmp_path, capsys, block, key, value):
+        # the profiles' delta and cap widths and the verifier's tolerances
+        # and sample counts are constants: a key for one is unknown, even
+        # at the value the constant has
+        good_path = write_config(tmp_path, solve_config(), name="good.json")
+        assert cli.main(["solve", "--config", good_path, "--out", str(tmp_path)]) == 0
+        cfg = solve_config()
+        cfg[block][key] = value
+        bad_path = write_config(tmp_path, cfg, name="bad.json")
+        commands = ("solve", "verify", "profile-cone") if block == "cone" else (
+            "verify", "check-domain")
+        for command in commands:
+            assert cli.main([command, "--config", bad_path, "--out", str(tmp_path)]) == 2
+            assert f"unknown {block} key '{key}'" in capsys.readouterr().err
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "good.json", "bad.json", "surface.obj", "solve.json"}
+
     @pytest.mark.parametrize("content,named", [
         (None, "config.json"),
-        (b'{"cone": {"beta": 1.0, "eps_list": ["\xff"]}}', "config.json"),
+        (b'{"cone": {"beta": 1.0}, "field": {"family": "\xff"}}', "config.json"),
         (b'{"cone": {"beta": 1.0', "config.json"),
         (b'{"cone": {"beta": 1.0}, "cone": {"beta": 0.5}}', "duplicate key 'cone'"),
         (b'{"cone": {"beta": 1.0, "beta": 0.5}}', "duplicate key 'beta'"),
@@ -456,10 +467,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key,value", [
         ("grid_size", "abc"), ("grid_size", 12.7), ("grid_size", True), ("grid_size", 0),
-        ("n_boundary", -3), ("n_domain", 512.0), ("n_axes", None), ("n_probe", "8"),
-        ("branch_threshold", "1e-6"), ("branch_threshold", False),
-        ("stability_tol", float("nan")), ("stability_tol", [1e-3]),
-        ("branch_threshold", 1.0), ("branch_threshold", 2.0), ("branch_threshold", -0.1),
+        ("n_boundary", -3), ("n_domain", 512.0),
     ])
     def test_mistyped_verify_key_rejected(self, tmp_path, capsys, key, value):
         cfg_path = write_config(tmp_path, solve_config())
@@ -482,11 +490,9 @@ class TestExitCodes:
         assert not (tmp_path / "domain_report.json").exists()
 
     def test_verify_keys_are_converted(self):
-        cfg = solve_config(verify={"grid_size": 64, "stability_tol": 1})
-        opts = cli.read(cfg["verify"], "verify")
-        assert {k: opts[k] for k in ("grid_size", "stability_tol", "n_probe")} == {
-            "grid_size": 64, "stability_tol": 1.0, "n_probe": 8}
-        assert type(opts["stability_tol"]) is float
+        opts = cli.read({"grid_size": 64}, "verify")
+        assert opts == {"grid_size": 64, "n_boundary": 128, "n_domain": 1024}
+        assert all(type(v) is int for v in opts.values())
 
     @pytest.mark.parametrize("command", ["solve", "verify", "check-domain", "profile-cone"])
     @pytest.mark.parametrize("block", ["verify", "output"])
@@ -640,17 +646,14 @@ def spelled_out(command):
               "profile-cone": "profile_report.json"}.get(command, "report.json")
     n_boundary, n_domain = (256, 2048) if command == "check-domain" else (128, 1024)
     return {
-        "cone": {"beta": BETA, "delta": cone_smoothing.select_delta(BETA),
-                 "eps_list": [0.1, 0.05, 0.025]},
+        "cone": {"beta": BETA},
         "boundary": {"type": "cap", "alpha_c": 0.8 * BETA,
                      "g": {"const": 1.0, "cos": [], "sin": []}},
         "field": {"family": "radial", "c": 0.9 / 6.0},
         "mesh": {"n_r": 24, "n_theta": 48},
         "solver": {"max_iters": 200, "residual_tol": 1e-8,
                    "update_tol": 1e-11, "continuation_steps": 4},
-        "verify": {"grid_size": 512, "n_boundary": n_boundary, "n_domain": n_domain,
-                   "n_axes": 16, "n_probe": 8, "branch_threshold": 1e-6,
-                   "stability_tol": 1e-3},
+        "verify": {"grid_size": 512, "n_boundary": n_boundary, "n_domain": n_domain},
         "output": {"surface_obj": "surface.obj", "solve_log": "solve.json", "report": report,
                    "radial_graph_csv": "radial_graph.csv", "profile_csv": "profile.csv"},
     }
@@ -685,6 +688,19 @@ class TestDefaults:
             assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 2
             assert "missing boundary g key 'const'" in capsys.readouterr().err
 
+    def test_threads_flag_is_ignored(self, tmp_path):
+        # --threads is accepted for interface compatibility only
+        written = []
+        for threads in ("1", "4"):
+            out = tmp_path / threads
+            out.mkdir()
+            cfg_path = write_config(tmp_path, solve_config())
+            for command in ("solve", "verify"):
+                assert cli.main([command, "--config", cfg_path, "--out", str(out),
+                                 "--threads", threads]) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert written[0] == written[1]
+
     def test_readme_table_lists_the_schema(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", readme, flags=re.M)
@@ -695,7 +711,7 @@ class TestDefaults:
 @pytest.mark.skipif(shutil.which("conesurf") is None,
                     reason="console script not on PATH")
 def test_console_script(tmp_path):
-    cfg_path = write_config(tmp_path, {"cone": {"beta": BETA, "eps_list": [0.1]}})
+    cfg_path = write_config(tmp_path, {"cone": {"beta": BETA}})
     proc = subprocess.run(
         ["conesurf", "profile-cone", "--config", cfg_path, "--out", str(tmp_path)],
         capture_output=True, text=True,

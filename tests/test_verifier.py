@@ -8,7 +8,7 @@ from scipy.sparse.linalg import eigsh
 
 import conesurf as cs
 from conesurf import verifier
-from conesurf.errors import EigensolverFailure, NotInjectiveAt, OutOfRange, Uncovered
+from conesurf.errors import EigensolverFailure, NotInjectiveAt, Uncovered
 from conesurf.solver import SurfaceState
 from conesurf.verifier import (
     EDGE_TOL,
@@ -44,13 +44,14 @@ def synthetic_state(mesh, fn):
     )
 
 
-def cubic_state():
-    # w -> w^3 has a genuine branch point at the origin; E ~ 9 r^4
+def branch_state(power, n_r, n_theta):
+    # w -> w^power has a genuine branch point at the origin, where
+    # E ~ power^2 r^(2 power - 2)
     def fn(u, v):
-        w = complex(u, v) ** 3
+        w = complex(u, v) ** power
         return np.array([w.real, w.imag, 2.0])
 
-    return synthetic_state(cs.build_disk_mesh(16, 32), fn)
+    return synthetic_state(cs.build_disk_mesh(n_r, n_theta), fn)
 
 
 class TestGaussMap:
@@ -72,24 +73,26 @@ class TestGaussMap:
         dots = np.einsum("ij,ij->i", normals.vertex_normals, u)
         assert np.max(np.abs(np.abs(dots) - 1.0)) < 5e-3
 
-    def test_cubic_branch_point_flagged(self):
-        st = cubic_state()
-        normals = gauss_map(st, branch_threshold=1e-4)
+    @staticmethod
+    def assert_flagged_near_origin(st):
+        normals = gauss_map(st)
         assert len(normals.branch_triangles) > 0
         flagged = (st.mesh.centroid_op @ st.mesh.vertices)[normals.branch_triangles]
         assert np.max(np.linalg.norm(flagged, axis=1)) < 0.2
 
-    @pytest.mark.parametrize("threshold", [-0.1, 1.0, 2.0, np.nan, "0.5"])
-    def test_threshold_outside_unit_interval_is_out_of_range(self, flat_disk_curve, threshold):
-        # a threshold >= 1 can leave no defined vertex, and the radial
-        # normal check then reduced over an empty array
-        curve, beta = flat_disk_curve
-        state = cs.solve(cs.build_disk_mesh(4, 8), curve, cs.CurvatureField("zero"))
-        with pytest.raises(OutOfRange, match="branch_threshold"):
-            gauss_map(state, threshold)
-        with pytest.raises(OutOfRange, match="branch_threshold"):
-            cs.verify_surface(state, cs.CurvatureField("zero"), beta,
-                              branch_threshold=threshold)
+    # E at the origin falls below BRANCH_THRESHOLD * median(E) from mesh
+    # (48,96) on for w^3, and from (16,32) on for w^4
+    def test_cubic_branch_point_flagged(self):
+        self.assert_flagged_near_origin(branch_state(3, 48, 96))
+
+    def test_quartic_branch_point_flagged(self):
+        self.assert_flagged_near_origin(branch_state(4, 16, 32))
+
+    @pytest.mark.xfail(strict=True, reason="a fixed BRANCH_THRESHOLD misses the w^3 branch "
+                       "point below mesh (48,96); the test needs a mesh-aware threshold")
+    def test_cubic_branch_point_flagged_at_default_mesh(self):
+        # (24,48) is the CLI's default mesh
+        self.assert_flagged_near_origin(branch_state(3, 24, 48))
 
 
 class TestDensity:
@@ -157,7 +160,7 @@ class TestStability:
         field = endtoend_scenario[4]
         normals = gauss_map(endtoend_state)
         d = density_field(endtoend_state, field, normals)
-        mu = stability_eigenvalue(endtoend_state, d)
+        mu = stability_eigenvalue(endtoend_state, d.p)
         assert mu > 0
 
     @staticmethod
@@ -182,7 +185,7 @@ class TestStability:
     def test_matches_plain_shift_invert_endtoend(self, endtoend_state, endtoend_scenario):
         field = endtoend_scenario[4]
         d = density_field(endtoend_state, field, gauss_map(endtoend_state))
-        mu = stability_eigenvalue(endtoend_state, d)
+        mu = stability_eigenvalue(endtoend_state, d.p)
         assert mu == pytest.approx(self.plain_shift_invert(endtoend_state, d.p), rel=1e-12)
 
     @staticmethod
@@ -228,7 +231,7 @@ class TestStability:
     def test_repeated_calls_are_equal(self, endtoend_state, endtoend_scenario):
         field = endtoend_scenario[4]
         d = density_field(endtoend_state, field, gauss_map(endtoend_state))
-        mus = [stability_eigenvalue(endtoend_state, d) for _ in range(5)]
+        mus = [stability_eigenvalue(endtoend_state, d.p) for _ in range(5)]
         assert mus == [mus[0]] * 5
 
 
@@ -265,7 +268,7 @@ class TestConeCondition:
     def test_flat_disk(self, flat_disk_state, flat_disk_curve):
         curve, beta = flat_disk_curve
         amap = cs.AxisMap(curve.boundary, beta, n_boundary=64)
-        rep = check_cone_condition_functions(flat_disk_state, amap, beta, n_axes=8)
+        rep = check_cone_condition_functions(flat_disk_state, amap, beta)
         assert rep["min_interior_phi_p"] > 0
         assert rep["max_normal_derivative"] < 0
 
@@ -554,8 +557,8 @@ class TestFullReport:
                     field, beta)
             kw = dict(boundary=boundary, grid_size=256)
         else:
-            args = (cubic_state(), cs.CurvatureField("zero"), beta)
-            kw = dict(branch_threshold=1e-4)
+            args = (branch_state(3, 48, 96), cs.CurvatureField("zero"), beta)
+            kw = {}
         report = cs.verify_surface(*args, **kw)
         expected = reference_passes(*args, **kw)
         assert {c["name"]: c["pass"] for c in report["checks"]} == expected
@@ -574,17 +577,16 @@ class TestFullReport:
         assert rows == [c["name"] for c in report["checks"]]
 
 
-def reference_passes(state, field, beta, axis_map=None, boundary=None, grid_size=512,
-                     branch_threshold=1e-6, stability_tol=1e-3, n_axes=16, n_probe=8):
+def reference_passes(state, field, beta, axis_map=None, boundary=None, grid_size=512):
     """{check name: pass} of verify_surface's checks, each pass rule
     written out on its own."""
-    normals = gauss_map(state, branch_threshold)
+    normals = gauss_map(state)
     density = density_field(state, field, normals)
-    mu1 = stability_eigenvalue(state, density)
-    tol_mu = stability_tol * float(np.median(density.E))
+    mu1 = stability_eigenvalue(state, density.p)
+    tol_mu = 1e-3 * float(np.median(density.E))
     enc = check_enclosure(state, beta, density)
     rad = check_radial_normal(state, density, normals)
-    deg = projection_degree(state, n_probe)
+    deg = projection_degree(state)
     jac = jacobian_identity_check(state)
     passes = {
         "branch_point_count": len(normals.branch_triangles) == 0,
@@ -596,7 +598,7 @@ def reference_passes(state, field, beta, axis_map=None, boundary=None, grid_size
         "jacobian_identity_discrepancy": jac < 0.5,
     }
     if axis_map is not None:
-        cc = check_cone_condition_functions(state, axis_map, beta, n_axes)
+        cc = check_cone_condition_functions(state, axis_map, beta)
         passes["cone_condition_interior"] = cc["min_interior_phi_p"] > 0.0
         passes["cone_condition_normal_derivative"] = cc["max_normal_derivative"] < 0.0
     if boundary is not None:
