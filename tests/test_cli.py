@@ -306,6 +306,20 @@ class TestProfileCone:
         assert [r["eps"] for r in rep["profiles"]] == list(cli.EPS_LIST)
         assert all("enclosure" in r for r in rep["profiles"])
 
+    @pytest.mark.parametrize("key,value", [
+        ("eps_list", ["abc"]), ("eps_list", 5), ("eps_list", [-0.1]), ("eps_list", [0.1, 0.0]),
+        ("eps_list", []), ("eps_list", [True]), ("delta", "x"), ("delta", 1.0),
+        ("delta", -BETA),
+    ])
+    def test_mistyped_cone_key_rejected(self, tmp_path, capsys, key, value):
+        # delta and the cap widths are constants now, so any value of either
+        # key is rejected as an unknown key
+        cfg_path = write_config(tmp_path, {"cone": {"beta": BETA, key: value}})
+        assert cli.main(["profile-cone", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert f"unknown cone key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "profile_report.json").exists()
+        assert not (tmp_path / "profile.csv").exists()
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
@@ -467,9 +481,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key,value", [
         ("grid_size", "abc"), ("grid_size", 12.7), ("grid_size", True), ("grid_size", 0),
-        ("n_boundary", -3), ("n_domain", 512.0),
+        ("n_boundary", -3), ("n_domain", 512.0), ("n_axes", None), ("n_probe", "8"),
+        ("branch_threshold", "1e-6"), ("branch_threshold", False),
+        ("stability_tol", float("nan")), ("stability_tol", [1e-3]),
+        ("branch_threshold", 1.0), ("branch_threshold", 2.0), ("branch_threshold", -0.1),
     ])
     def test_mistyped_verify_key_rejected(self, tmp_path, capsys, key, value):
+        # n_axes, n_probe, branch_threshold and stability_tol are constants
+        # now: any value of one is rejected as an unknown key
         cfg_path = write_config(tmp_path, solve_config())
         assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
         cfg = solve_config()
