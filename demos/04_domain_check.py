@@ -34,7 +34,7 @@ print("axis tilt from e3 (degrees): min %.3f max %.3f" % (tilts.min(), tilts.max
 # beta-convexity implies convexity (supporting-plane test), and the
 # induced orientation is negative for a positively oriented boundary
 print("convex:", cs.is_convex(boundary))
-print("orientation sign:", cs.orientation_sign(boundary, beta, axis_map=amap))
+print("orientation sign:", cs.orientation_sign(amap))
 
 # a large wobble destroys convexity
 wavy = cs.SphericalBoundary.perturbed_cap(0.5, cos_coeffs=[0.0, 0.0, 0.35])

@@ -9,7 +9,6 @@ from .boundary import (
     FourierScalar,
     RadialGraphCurve,
     SphericalBoundary,
-    axis_at,
     build_curve,
     is_beta_convex,
     is_convex,
@@ -46,7 +45,6 @@ from .solver import (
     solve,
 )
 from .verifier import (
-    check_cone_condition_functions,
     check_enclosure,
     check_radial_normal,
     density_field,
@@ -54,7 +52,6 @@ from .verifier import (
     extract_radial_graph,
     gauss_map,
     jacobian_identity_check,
-    normal_pde_residual,
     projection_degree,
     stability_eigenvalue,
     verify_surface,

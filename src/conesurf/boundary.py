@@ -17,6 +17,12 @@ from .errors import CurveLeavesCone, NotBetaConvexAt, OutOfRange, SignChange
 from .geometry import ConeSpec
 
 FOURIER_MAX_ORDER = 8
+# An axis is admissible when every containment sample lies within AXIS_TOL
+# (in cosine) of its closed cone; is_convex allows CONVEX_TOL on each side
+# of a plane.  build_curve checks the cone at CURVE_SAMPLES points.
+AXIS_TOL = 1e-8
+CONVEX_TOL = 1e-9
+CURVE_SAMPLES = 512
 
 
 class FourierScalar:
@@ -98,13 +104,13 @@ class SphericalBoundary:
         return theta, self.gamma_hat(theta)
 
 
-def axis_at(boundary, beta, theta, containment_samples, tol=1e-8):
+def axis_at(boundary, beta, theta, containment_samples):
     """Unique beta-cone axis at gamma_hat(theta).
 
     The two geometric candidates cos(b) ghat +- sin(b) (ghat ^ ghat')/|ghat'|
     are the intersection of the cone through ghat, the plane orthogonal to
     ghat', and S^2; the admissible one must contain all the given domain
-    samples in its closed cone.
+    samples in its closed cone, up to AXIS_TOL.
     """
     g = boundary.gamma_hat(theta)
     gd = boundary.gamma_hat_d(theta)
@@ -117,7 +123,7 @@ def axis_at(boundary, beta, theta, containment_samples, tol=1e-8):
     best = None
     for cand in (cb * g + sb * n, cb * g - sb * n):
         worst = float(np.min(containment_samples @ cand)) - cb
-        if worst >= -tol and (best is None or worst > best[1]):
+        if worst >= -AXIS_TOL and (best is None or worst > best[1]):
             best = (cand, worst)
     if best is None:
         raise NotBetaConvexAt(theta)
@@ -129,15 +135,13 @@ class AxisMap:
     NotBetaConvexAt at the first sample without an admissible axis.
     `margin` is the worst containment slack over the sampled axes."""
 
-    def __init__(self, boundary, beta, n_boundary=256, n_domain=2048, tol=1e-8):
+    def __init__(self, boundary, beta, n_boundary=256, n_domain=2048):
         self.boundary = boundary
         self.beta = beta
         thetas, bpts = boundary.boundary_samples(n_boundary)
         samples = np.vstack([boundary.domain_samples(n_domain), bpts])
         self.thetas = thetas
-        self.axes = np.array(
-            [axis_at(boundary, beta, th, samples, tol=tol) for th in thetas]
-        )
+        self.axes = np.array([axis_at(boundary, beta, th, samples) for th in thetas])
         self.margin = float(np.min(samples @ self.axes.T)) - np.cos(beta)
         self._samples = samples
 
@@ -146,33 +150,32 @@ class AxisMap:
         return axis_at(self.boundary, self.beta, theta, self._samples)
 
 
-def is_beta_convex(boundary, beta, n_boundary=256, n_domain=2048, tol=1e-8):
+def is_beta_convex(boundary, beta, n_boundary=256, n_domain=2048):
     """(flag, margin): flag true iff an admissible axis exists at every
     boundary sample; margin is the worst containment slack observed."""
     try:
-        axis_map = AxisMap(boundary, beta, n_boundary, n_domain, tol)
+        axis_map = AxisMap(boundary, beta, n_boundary, n_domain)
     except NotBetaConvexAt:
         return False, float("-inf")
     return True, axis_map.margin
 
 
-def is_convex(boundary, n_samples=256, n_domain=1024, tol=1e-9):
+def is_convex(boundary, n_samples=256, n_domain=1024):
     """True iff at every boundary sample the plane spanned by gamma_hat and
     its tangent leaves all domain samples weakly on one side."""
     thetas, bpts = boundary.boundary_samples(n_samples)
     samples = np.vstack([boundary.domain_samples(n_domain), bpts])
     side = samples @ np.cross(bpts, boundary.gamma_hat_d(thetas)).T
-    return not np.any(np.any(side > tol, axis=0) & np.any(side < -tol, axis=0))
+    return not np.any(np.any(side > CONVEX_TOL, axis=0) & np.any(side < -CONVEX_TOL, axis=0))
 
 
-def orientation_sign(boundary, beta, n_samples=256, axis_map=None):
-    """-1 when Det[gamma_hat', gamma_hat, axis] < 0 at all samples
-    (positively oriented), +1 when > 0 at all; SignChange otherwise."""
-    if axis_map is None:
-        axis_map = AxisMap(boundary, beta, n_boundary=n_samples)
+def orientation_sign(axis_map):
+    """-1 when Det[gamma_hat', gamma_hat, axis] < 0 at all the map's
+    samples (positively oriented), +1 when > 0 at all; SignChange
+    otherwise."""
     thetas = axis_map.thetas
-    g = boundary.gamma_hat(thetas)
-    gd = boundary.gamma_hat_d(thetas)
+    g = axis_map.boundary.gamma_hat(thetas)
+    gd = axis_map.boundary.gamma_hat_d(thetas)
     det = np.einsum("ij,ij->i", np.cross(gd, g), axis_map.axes)
     if np.all(det < 0.0):
         return -1
@@ -183,12 +186,11 @@ def orientation_sign(boundary, beta, n_samples=256, axis_map=None):
 
 class RadialGraphCurve:
     """Jordan curve Gamma(theta) = g(theta) gamma_hat(theta) over a
-    spherical boundary, validated against the configured cone."""
+    spherical boundary; build_curve validates it against the cone."""
 
-    def __init__(self, boundary, g, beta):
+    def __init__(self, boundary, g):
         self.boundary = boundary
         self.g = g
-        self.beta = float(beta)
 
     def points(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
@@ -196,11 +198,11 @@ class RadialGraphCurve:
         return gv[..., None] * self.boundary.gamma_hat(thetas)
 
 
-def build_curve(boundary, g, beta, n_check=512):
+def build_curve(boundary, g, beta):
     """Validated radial-graph curve; raises CurveLeavesCone when some
     Gamma(theta) falls outside the closed cone of half-angle beta."""
-    curve = RadialGraphCurve(boundary, g, beta)
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
+    curve = RadialGraphCurve(boundary, g)
+    thetas = np.linspace(0.0, 2.0 * np.pi, CURVE_SAMPLES, endpoint=False)
     gv = np.asarray(g(thetas), dtype=float)
     if np.any(gv <= 0.0):
         raise OutOfRange("radial factor g must be strictly positive")

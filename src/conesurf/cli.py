@@ -272,7 +272,7 @@ def run_check_domain(config, out_dir):
     try:
         axis_map = AxisMap(boundary, beta, n_boundary, n_domain)
         flag, margin = True, axis_map.margin
-        orient = orientation_sign(boundary, beta, axis_map=axis_map)
+        orient = orientation_sign(axis_map)
     except NotBetaConvexAt:
         pass  # reported as beta_convex false, with no axes to orient
     except SignChange as exc:

@@ -17,11 +17,13 @@ from .errors import AxisSingularity, OutOfRange
 from .geometry import c_beta
 
 SQRT3 = np.sqrt(3.0)
+DELTA_STEP = 1e-3  # select_delta's grid of delta
+ENCLOSURE_SAMPLES = 256  # check_enclosure_curvature's samples of t on the cap
 
 
-def select_delta(beta, grid_step=1e-3):
-    """Largest grid multiple delta > 0 with beta +- delta in (0, pi/2) and
-    c_{beta-delta} < cot(beta+delta)/2 strictly.
+def select_delta(beta):
+    """Largest multiple delta > 0 of DELTA_STEP with beta +- delta in
+    (0, pi/2) and c_{beta-delta} < cot(beta+delta)/2 strictly.
 
     The admissible set is an interval [0, delta*), so a descending scan from
     the geometric cap finds the largest admissible grid point; existence at
@@ -31,14 +33,14 @@ def select_delta(beta, grid_step=1e-3):
         raise OutOfRange(f"beta {beta} not in (0, pi/2)")
     margin = 1e-9
     delta_cap = min(beta, np.pi / 2 - beta) - margin
-    k = int(np.floor(delta_cap / grid_step))
+    k = int(np.floor(delta_cap / DELTA_STEP))
     while k >= 1:
-        d = k * grid_step
+        d = k * DELTA_STEP
         if c_beta(beta - d) < 0.5 / np.tan(beta + d):
             return d
         k -= 1
     # always admissible for small enough delta; fall below the grid
-    d = grid_step / 2.0
+    d = DELTA_STEP / 2.0
     while d > 1e-15:
         if d < delta_cap and c_beta(beta - d) < 0.5 / np.tan(beta + d):
             return d
@@ -173,18 +175,18 @@ def min_cap_curvature(profile, n_samples=256):
     return float(np.min(profile_mean_curvature(profile, ts)))
 
 
-def check_enclosure_curvature(profile, field, n_samples=256, t_max=None):
+def check_enclosure_curvature(profile, field, t_max=None):
     """Margin min over samples of H_S(t) - |H(point(t, theta))|.
 
     Positive margin certifies the barrier inequality on the sampled set.
-    Samples cover the cap [0, t_eps] and the cone branch up to t_max
-    (default 10 * t_eps), at several azimuths.
+    ENCLOSURE_SAMPLES samples cover the cap [0, t_eps] and as many the cone
+    branch up to t_max (default 10 * t_eps), at 8 azimuths.
     """
     if t_max is None:
         t_max = 10.0 * profile.t_eps
     ts = np.concatenate([
-        np.linspace(0.0, profile.t_eps, n_samples),
-        np.linspace(profile.t_eps, t_max, n_samples)[1:],
+        np.linspace(0.0, profile.t_eps, ENCLOSURE_SAMPLES),
+        np.linspace(profile.t_eps, t_max, ENCLOSURE_SAMPLES)[1:],
     ])
     thetas = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
     hs = profile_mean_curvature(profile, ts)
@@ -197,7 +199,7 @@ def check_enclosure_curvature(profile, field, n_samples=256, t_max=None):
         "argmin_t": float(ts[i]),
         "argmin_theta": float(thetas[j]),
         "passed": bool(margin > 0.0),
-        "n_samples": int(n_samples),
+        "n_samples": ENCLOSURE_SAMPLES,
     }
 
 

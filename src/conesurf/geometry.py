@@ -11,6 +11,7 @@ from .errors import DegenerateInput, OutOfRange, PointOnCurve, PoleSingularity
 
 NORMALIZE_EPS = 1e-14
 SOUTH_POLE_EPS = 1e-10
+MIN_WINDING_DISTANCE = 1e-9  # closest a winding_degree query may be to the loop
 
 
 def as_vec3(x):
@@ -89,7 +90,7 @@ def c_beta(beta):
     return float(cb / (2.0 * (1.0 + cb)))
 
 
-def winding_degree(loop, q, min_distance=1e-9):
+def winding_degree(loop, q):
     """Winding number of a closed planar polyline around q.
 
     `loop` is an (n, 2) array of vertices (closure edge loop[-1] -> loop[0]
@@ -111,8 +112,8 @@ def winding_degree(loop, q, min_distance=1e-9):
     nz = denom > 0
     t[nz] = np.clip(-np.einsum("ij,ij->i", a[nz], ab[nz]) / denom[nz], 0.0, 1.0)
     closest = a + t[:, None] * ab
-    if np.min(np.linalg.norm(closest, axis=1)) < min_distance:
-        raise PointOnCurve(f"query point within {min_distance} of the loop")
+    if np.min(np.linalg.norm(closest, axis=1)) < MIN_WINDING_DISTANCE:
+        raise PointOnCurve(f"query point within {MIN_WINDING_DISTANCE} of the loop")
 
     ang = np.arctan2(d[:, 1], d[:, 0])
     dang = np.diff(np.concatenate([ang, ang[:1]]))

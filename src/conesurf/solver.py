@@ -4,8 +4,8 @@ The vector PDE  Delta X = 2 H(X) X_u ^ X_v  with Dirichlet data X = Gamma
 on the boundary ring is discretized with P1 finite elements on the polar
 disk mesh and solved as the fixed point of the Picard map G: one sparse
 Laplace solve with the right-hand side frozen at the current iterate, plus
-continuation in the field strength to stay in the contraction regime of
-the radial growth bound.
+continuation in the field strength over CONTINUATION_LEVELS levels to stay
+in the contraction regime of the radial growth bound.
 
 Each step is a type-II Anderson step (Walker & Ni 2011) of depth
 ANDERSON_DEPTH on the interior unknowns: it mixes the last Picard images
@@ -51,17 +51,14 @@ import numpy as np
 
 from .errors import FieldOutOfDomain, NoConvergence, OutOfRange
 from .fields import build_potential_Q, is_real
-from .mesh import DiskMesh, build_disk_mesh  # noqa: F401  (re-export)
+from .mesh import DiskMesh
 
 STALL_WINDOW = 20   # steps between the two updates a stall test compares
 LEVEL_REDUCTION = 1e-2  # intermediate level stops at this share of its first update
 CONTRACTION_WINDOW = 5  # trailing update ratios in a contraction estimate
 ANDERSON_DEPTH = 5  # Picard images mixed by one Anderson step
-# Each continuation level costs at least one Picard step.  At 100 levels the
-# field grows by 1% a level, far finer than the 4 levels that converge at
-# 0.9 c_beta; a larger count only adds run time, and a huge one (a valid JSON
-# integer such as 10**400) would never finish.
-MAX_CONTINUATION_STEPS = 100
+CONTINUATION_LEVELS = 4  # field strengths k / CONTINUATION_LEVELS, k = 1 .. 4
+ARCLENGTH_SAMPLES = 4096  # chords of Gamma summed for its arclength
 
 
 @dataclass
@@ -69,19 +66,15 @@ class SolveConfig:
     max_iters: int = 200
     residual_tol: float = 1e-8
     update_tol: float = 1e-11
-    continuation_steps: int = 4
 
     def __post_init__(self):
-        for name in ("max_iters", "continuation_steps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise OutOfRange(f"{name} must be a positive integer, got {value!r}")
+        value = self.max_iters
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise OutOfRange(f"max_iters must be a positive integer, got {value!r}")
         for name in ("residual_tol", "update_tol"):
             value = getattr(self, name)
             if not (is_real(value) and value > 0):
                 raise OutOfRange(f"{name} must be a positive finite real number, got {value!r}")
-        if self.continuation_steps > MAX_CONTINUATION_STEPS:
-            raise OutOfRange(f"continuation_steps must be at most {MAX_CONTINUATION_STEPS}")
 
 
 @dataclass
@@ -248,10 +241,10 @@ def solve_residual(mesh, X, field):
     return float(np.max(np.abs(r))), max(1.0, float(np.max(np.abs(tri_load))))
 
 
-def arclength_parametrization(curve, n_boundary, n_fine=4096):
+def arclength_parametrization(curve, n_boundary):
     """Boundary parameters theta_j placing the n_boundary ring vertices at
     equal arclength along Gamma, with theta_0 = 0."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_fine + 1)
+    thetas = np.linspace(0.0, 2.0 * np.pi, ARCLENGTH_SAMPLES + 1)
     pts = curve.points(thetas)
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
@@ -316,7 +309,8 @@ def solve(mesh, curve, field, config=None):
     The boundary ring is placed at equal arclength along the curve.  The
     initial guess is the harmonic extension of the boundary data (the
     zero-field solve); the field strength is then ramped up over
-    config.continuation_steps levels of Picard iteration.
+    CONTINUATION_LEVELS levels of Picard iteration, the last at full
+    strength.
     """
     if config is None:
         config = SolveConfig()
@@ -327,12 +321,11 @@ def solve(mesh, curve, field, config=None):
 
     log, level_iterations, level_contraction = [], [], []
     if getattr(field, "family", None) != "zero":
-        n_levels = config.continuation_steps
-        for level in range(1, n_levels + 1):
+        for level in range(1, CONTINUATION_LEVELS + 1):
             start = len(log)
             X, contraction = _relax(
-                system, field.scaled(level / n_levels), X, config, log, level,
-                final=level == n_levels)
+                system, field.scaled(level / CONTINUATION_LEVELS), X, config, log, level,
+                final=level == CONTINUATION_LEVELS)
             level_iterations.append(len(log) - start)
             level_contraction.append(contraction)
 

@@ -55,7 +55,6 @@ EIGEN_MAXITER = 100
 @dataclass
 class NormalField:
     tri_normals: np.ndarray      # (nt, 3), rows of flagged triangles are nan
-    tri_defined: np.ndarray      # (nt,) bool
     vertex_normals: np.ndarray   # (nv, 3) unit where defined
     vertex_defined: np.ndarray   # (nv,) bool
     branch_triangles: np.ndarray  # indices of flagged triangles
@@ -83,7 +82,7 @@ def gauss_map(state):
     lens = np.linalg.norm(vn[vdef], axis=1)
     vn[vdef] = vn[vdef] / lens[:, None]
     return NormalField(
-        tri_normals=n, tri_defined=defined, vertex_normals=vn,
+        tri_normals=n, vertex_normals=vn,
         vertex_defined=vdef, branch_triangles=np.nonzero(~defined)[0],
     )
 
@@ -99,8 +98,6 @@ class DensityField:
     K: np.ndarray          # per-vertex Gaussian curvature
     H: np.ndarray          # H(X) per vertex
     grad_H: np.ndarray     # grad H(X) per vertex, (nv, 3)
-    grad_H_dot_N: np.ndarray
-    defined: np.ndarray    # bool mask
 
 
 def vertex_conformal_factor(state):
@@ -118,7 +115,7 @@ def density_field(state, field, normals):
     E = vertex_conformal_factor(state)
     second = mesh.second_derivatives(state.X)  # (nv, 3, 3): uu, uv, vv
     N = normals.vertex_normals
-    defined = normals.vertex_defined.copy()
+    defined = normals.vertex_defined
 
     ee = np.einsum("ij,ij->i", second[:, 0, :], np.nan_to_num(N))
     ff = np.einsum("ij,ij->i", second[:, 1, :], np.nan_to_num(N))
@@ -134,7 +131,7 @@ def density_field(state, field, normals):
     p[defined] = E[defined] * (
         2.0 * h[defined] ** 2 - K[defined] - ghn[defined]
     )
-    return DensityField(p=p, E=E, K=K, H=h, grad_H=gh, grad_H_dot_N=ghn, defined=defined)
+    return DensityField(p=p, E=E, K=K, H=h, grad_H=gh)
 
 
 def stability_eigenvalue(state, p):
@@ -181,12 +178,6 @@ def stability_eigenvalue(state, p):
 # Enclosure barriers
 
 
-def _deep_interior(mesh, margin=2):
-    """Interior vertices at least `margin` rings away from the boundary."""
-    cutoff = 1 + (mesh.n_r - margin) * mesh.n_theta
-    return np.arange(0, cutoff)
-
-
 def _tested_weak_residual(mesh, values, neg_lap_rhs):
     """Weak residual of -Delta(values) = rhs tested against a fixed set of
     smooth functions vanishing on the boundary.  Used when `values` comes
@@ -216,11 +207,11 @@ def _weak_rms_residual(mesh, values, neg_lap_rhs, deep):
     return float(np.sqrt(np.sum(w * r[deep] ** 2) / np.sum(w)))
 
 
-def check_enclosure(state, beta, density=None):
-    """Barrier phi = X.e3 - |X| cos(beta): minima on the closed disk and on
-    the interior, plus, given the density (for its E and H), the discrete
-    residual of the superharmonicity identity for -Delta phi at deep
-    interior vertices."""
+def check_enclosure(state, beta, density):
+    """Barrier phi = X.e3 - |X| cos(beta): minima on the closed disk, the
+    interior and the boundary ring, and the discrete residual of the
+    superharmonicity identity for -Delta phi (with the density's E and H)
+    at the vertices at least two rings away from the boundary."""
     X = state.X
     r = np.linalg.norm(X, axis=1)
     if np.min(r) < 1e-10:
@@ -229,24 +220,23 @@ def check_enclosure(state, beta, density=None):
     phi = X[:, 2] - r * cosb
 
     mesh = state.mesh
-    res = None
-    if density is not None:
-        xu = mesh.vertex_average(mesh.d_u @ X)
-        xv = mesh.vertex_average(mesh.d_v @ X)
-        E, h = density.E, density.H
-        w = np.cross(xu, xv)
-        px = X / r[:, None]
-        pxu = _safe_unit(xu)
-        pxv = _safe_unit(xv)
-        rhs = (
-            -2.0 * h * w[:, 2]
-            + 2.0 * E / r * cosb
-            + 2.0 * h * np.einsum("ij,ij->i", px, w) * cosb
-            - (np.einsum("ij,ij->i", px, pxu) ** 2
-               + np.einsum("ij,ij->i", px, pxv) ** 2) * E * cosb / r
-        )
-        deep = _deep_interior(mesh)
-        res = _weak_rms_residual(mesh, phi, rhs, deep)
+    xu = mesh.vertex_average(mesh.d_u @ X)
+    xv = mesh.vertex_average(mesh.d_v @ X)
+    E, h = density.E, density.H
+    w = np.cross(xu, xv)
+    px = X / r[:, None]
+    pxu = _safe_unit(xu)
+    pxv = _safe_unit(xv)
+    rhs = (
+        -2.0 * h * w[:, 2]
+        + 2.0 * E / r * cosb
+        + 2.0 * h * np.einsum("ij,ij->i", px, w) * cosb
+        - (np.einsum("ij,ij->i", px, pxu) ** 2
+           + np.einsum("ij,ij->i", px, pxv) ** 2) * E * cosb / r
+    )
+    # the interior vertices are numbered ring by ring from the center
+    deep = np.arange(1 + (mesh.n_r - 2) * mesh.n_theta)
+    res = _weak_rms_residual(mesh, phi, rhs, deep)
 
     return {
         "min_phi_closed": float(np.min(phi)),
@@ -481,9 +471,10 @@ def _locate(S, tris, grid):
     bad = np.nonzero((n_strict > 1) | (np.bincount(gi[loose], minlength=n) == 0))[0]
     if len(bad):
         g = bad[0]
+        point = tuple(grid[g].tolist())  # Python floats, for the message
         if n_strict[g] > 1:
-            raise NotInjectiveAt(tuple(grid[g]), int(n_strict[g]))
-        raise Uncovered(tuple(grid[g]))
+            raise NotInjectiveAt(point, int(n_strict[g]))
+        raise Uncovered(point)
 
     # pairs are sorted by (grid, triangle), so the first loose pair of each
     # grid point is its lowest-index loose triangle; a strict hit overrides

@@ -243,9 +243,9 @@ class TestCheckDomain:
         seen = []
         original = boundary.axis_at
 
-        def counting(b, beta, theta, samples, tol=1e-8):
+        def counting(b, beta, theta, samples):
             seen.append(len(samples))
-            return original(b, beta, theta, samples, tol=tol)
+            return original(b, beta, theta, samples)
 
         monkeypatch.setattr(boundary, "axis_at", counting)
         return seen
@@ -346,11 +346,15 @@ class TestExitCodes:
                        "--out", str(tmp_path / "absent")])
         assert rc == 2
 
-    def test_solver_failure(self, tmp_path):
-        cfg = solve_config(solver={"max_iters": 1, "continuation_steps": 1,
-                                   "residual_tol": 1e-14})
+    def test_solver_failure(self, tmp_path, capsys):
+        cfg = solve_config(solver={"max_iters": 1, "residual_tol": 1e-14})
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 3
+        # each of the four levels takes its one step; the last one's update
+        # and the residual stay above their tolerances
+        assert "no convergence after 4 iterations at continuation level 4" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "surface.obj").exists()
 
     def test_iterate_leaving_field_domain_is_solver_failure(self, tmp_path, capsys,
                                                             monkeypatch):
@@ -388,10 +392,14 @@ class TestExitCodes:
         ("continuation_steps", 101), ("continuation_steps", 1000000),
     ])
     def test_mistyped_solver_key_rejected(self, tmp_path, capsys, key, value):
+        # the continuation count is the constant solver.CONTINUATION_LEVELS
+        # now: any value of continuation_steps is rejected as an unknown key
         cfg = solve_config(solver={"max_iters": 400, key: value})
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
+        assert ("unknown solver key" in err) == (key == "continuation_steps")
         assert not (tmp_path / "surface.obj").exists()
 
     @pytest.mark.parametrize("value", [0.5, 1.0, True])
@@ -401,6 +409,17 @@ class TestExitCodes:
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 2
         assert "unknown solver key 'damping'" in capsys.readouterr().err
+        assert not (tmp_path / "surface.obj").exists()
+
+    @pytest.mark.parametrize("value", [4, 1, True])
+    def test_removed_continuation_steps_key_rejected(self, tmp_path, capsys, value):
+        # the solve always runs CONTINUATION_LEVELS levels; a count is
+        # unknown, even at the constant's own value
+        assert solver.CONTINUATION_LEVELS == 4
+        cfg = solve_config(solver={"max_iters": 400, "continuation_steps": value})
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "unknown solver key 'continuation_steps'" in capsys.readouterr().err
         assert not (tmp_path / "surface.obj").exists()
 
     @pytest.mark.parametrize("block,key,value", [
@@ -670,8 +689,7 @@ def spelled_out(command):
                      "g": {"const": 1.0, "cos": [], "sin": []}},
         "field": {"family": "radial", "c": 0.9 / 6.0},
         "mesh": {"n_r": 24, "n_theta": 48},
-        "solver": {"max_iters": 200, "residual_tol": 1e-8,
-                   "update_tol": 1e-11, "continuation_steps": 4},
+        "solver": {"max_iters": 200, "residual_tol": 1e-8, "update_tol": 1e-11},
         "verify": {"grid_size": 512, "n_boundary": n_boundary, "n_domain": n_domain},
         "output": {"surface_obj": "surface.obj", "solve_log": "solve.json", "report": report,
                    "radial_graph_csv": "radial_graph.csv", "profile_csv": "profile.csv"},

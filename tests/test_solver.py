@@ -8,8 +8,8 @@ import conesurf as cs
 from conesurf.errors import FieldOutOfDomain, NoConvergence, OutOfRange
 from conesurf.solver import (
     ANDERSON_DEPTH,
+    CONTINUATION_LEVELS,
     LEVEL_REDUCTION,
-    MAX_CONTINUATION_STEPS,
     STALL_WINDOW,
     SurfaceState,
     _Anderson,
@@ -34,12 +34,11 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kw",
         [dict(update_tol=0.0), dict(residual_tol=-1.0), dict(residual_tol=0.0),
-         dict(update_tol=-1e-9), dict(continuation_steps=0),
+         dict(update_tol=-1e-9), dict(max_iters=np.int64(0)),
          dict(residual_tol=float("nan")), dict(update_tol=float("nan")),
          dict(residual_tol=float("inf")), dict(update_tol=float("inf")),
          dict(max_iters=0), dict(max_iters=-1),
-         dict(continuation_steps=MAX_CONTINUATION_STEPS + 1),
-         dict(continuation_steps=10**400)],
+         dict(residual_tol=-float("inf")), dict(update_tol=-float("inf"))],
     )
     def test_rejects_bad_values(self, kw):
         with pytest.raises(OutOfRange):
@@ -48,7 +47,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kw",
         [dict(max_iters=2.5), dict(max_iters=True), dict(max_iters="3"),
-         dict(continuation_steps=2.0), dict(continuation_steps=False),
+         dict(max_iters=2.0), dict(residual_tol="1e-8"),
          dict(residual_tol=True), dict(update_tol="1e-11"), dict(residual_tol=None),
          dict(update_tol=True)],
     )
@@ -226,9 +225,13 @@ class TestCapSolve:
         curve, _ = flat_disk_curve
         mesh = cs.build_disk_mesh(6, 12)
         field = cs.CurvatureField("constant", h0=0.5)
-        cfg = cs.SolveConfig(max_iters=2, continuation_steps=1, residual_tol=1e-12)
-        with pytest.raises(NoConvergence):
+        cfg = cs.SolveConfig(max_iters=2, residual_tol=1e-12)
+        with pytest.raises(NoConvergence) as info:
             cs.solve(mesh, curve, field, cfg)
+        # two steps at each of the four levels, the last still short of the
+        # tolerances
+        assert (info.value.iterations, info.value.level) == (2 * CONTINUATION_LEVELS,
+                                                             CONTINUATION_LEVELS)
 
 
 class TestEndToEndSolve:
@@ -413,7 +416,7 @@ def relifting_solve(mesh, curve, field, config):
         return -(mesh.load_op @ (2.0 * h[:, None] * w))[mesh.interior]
 
     X, log, levels = iterate(dirichlet()), [], []
-    n = config.continuation_steps
+    n = CONTINUATION_LEVELS
     for level in range(1, n + 1):
         level_field, final, start = field.scaled(level / n), level == n, len(log)
         tol, mixer = config.update_tol, _Anderson(X[mesh.interior].size)
@@ -473,9 +476,11 @@ class TestInexactContinuation:
             assert run[-1] <= LEVEL_REDUCTION * run[0]
             start += n
 
-    def test_same_surface_as_one_level(self, seed1_cap):
+    def test_same_surface_as_one_level(self, seed1_cap, monkeypatch):
         st = radial_solve(seed1_cap, 0.9)
-        one = radial_solve(seed1_cap, 0.9, continuation_steps=1)
+        monkeypatch.setattr(cs.solver, "CONTINUATION_LEVELS", 1)
+        one = radial_solve(seed1_cap, 0.9)
+        assert one.level_iterations == [one.iterations]
         assert np.max(np.abs(st.X - one.X)) < 1e-10
 
     def test_level_contraction(self, seed1_cap):
@@ -526,7 +531,6 @@ NON_DEFAULT = {
     "max_iters": 3,
     "residual_tol": 1e-30,
     "update_tol": 1e-6,
-    "continuation_steps": 2,
 }
 
 

@@ -124,7 +124,7 @@ class TestDensity:
             )
             normals = gauss_map(st)
             d = density_field(st, field, normals)
-            res.append(cs.normal_pde_residual(st, d, normals))
+            res.append(verifier.normal_pde_residual(st, d, normals))
         assert res[0] / res[1] > 1.5
 
     def test_vertex_conformal_factor_flat(self, flat_disk_state):
@@ -253,10 +253,6 @@ class TestEnclosure:
             res.append(check_enclosure(st, BETA, density_of(st, zero))["identity_residual"])
         assert res[1] < 0.6 * res[0]
 
-    def test_without_field_skips_identity(self, flat_disk_state):
-        rep = check_enclosure(flat_disk_state, BETA)
-        assert rep["identity_residual"] is None
-
     def test_endtoend_barrier_positive(self, endtoend_state, endtoend_scenario):
         beta, field = endtoend_scenario[0], endtoend_scenario[4]
         rep = check_enclosure(endtoend_state, beta, density_of(endtoend_state, field))
@@ -353,6 +349,25 @@ class TestRadialGraph:
         p = p / np.linalg.norm(p)
         with pytest.raises(NotInjectiveAt):
             extract_radial_graph(st, p[None, :])
+
+    def test_failure_names_the_point_in_python_floats(self, flat_disk_curve):
+        # the zero-field flat disk at (4, 8) leaves part of the domain
+        # uncovered; the point is stored and printed as plain floats
+        curve, beta = flat_disk_curve
+        state = cs.solve(cs.build_disk_mesh(4, 8), curve, cs.CurvatureField("zero"))
+        grid = domain_grid(curve.boundary, 512)
+        folded = folded_state()
+        p = np.array([0.0, 0.1, 2.0]) / np.linalg.norm([0.0, 0.1, 2.0])
+        for st, g in ((state, grid), (folded, p[None, :])):
+            with pytest.raises((Uncovered, NotInjectiveAt)) as info:
+                extract_radial_graph(st, g)
+            assert [type(x) for x in info.value.point] == [float] * 3
+            assert "np.float64" not in str(info.value)
+        rep = cs.verify_surface(state, cs.CurvatureField("zero"), beta, boundary=curve.boundary)
+        row = next(c for c in rep["checks"] if c["name"] == "radial_graph_coverage")
+        assert not row["pass"]
+        assert "not covered" in row["detail"]["error"]
+        assert "np.float64" not in row["detail"]["error"]
 
 
 def reference_radial_graph(state, grid):
