@@ -28,7 +28,6 @@ from .cone_smoothing import (
 )
 from .fields import CurvatureField, build_potential_Q, check_growth, check_monotonicity
 from .geometry import (
-    ConeSpec,
     c_beta,
     stereographic_south,
     stereographic_south_inverse,

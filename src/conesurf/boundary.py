@@ -14,7 +14,6 @@ The enclosed domain Omega is the star-shaped region of colatitude < alpha.
 import numpy as np
 
 from .errors import CurveLeavesCone, NotBetaConvexAt, OutOfRange, SignChange
-from .geometry import ConeSpec
 
 FOURIER_MAX_ORDER = 8
 # An axis is admissible when every containment sample lies within AXIS_TOL
@@ -207,8 +206,7 @@ def build_curve(boundary, g, beta):
     if np.any(gv <= 0.0):
         raise OutOfRange("radial factor g must be strictly positive")
     pts = curve.points(thetas)
-    cone = ConeSpec(np.array([0.0, 0.0, 1.0]), beta)
-    margins = cone.margin(pts)
+    margins = pts[:, 2] - np.linalg.norm(pts, axis=1) * np.cos(beta)
     if np.min(margins) < -1e-10:
         raise CurveLeavesCone(
             f"curve leaves the cone: worst margin {np.min(margins):.3e}"

@@ -295,7 +295,7 @@ def run_check_domain(config, out_dir):
 
 def run_profile_cone(config, out_dir):
     beta = parse_beta(config)
-    delta = select_delta(beta)
+    delta = _built("cone", select_delta, beta)
     field = None if config["field"] is REQUIRED else parse_field(config)
     paths = parse_output(config, out_dir, report="profile_report.json")
     reports = []

@@ -5,8 +5,8 @@ replacing the height profile with a quartic on [0, t_eps], chosen so the
 resulting surface of revolution is C^2, misses the origin, and has inward
 mean curvature dominating the prescribed field.
 
-The profile and curvature functions take t as a scalar, returning a float,
-or as an array of samples, returning an array of its shape.
+The profile and curvature functions take an array of samples of t and
+return an array of its shape.
 """
 
 from dataclasses import dataclass
@@ -120,10 +120,6 @@ def profile_point(profile, t, theta):
     )
 
 
-def _scalar_or_array(values):
-    return float(values) if np.ndim(values) == 0 else values
-
-
 def _off_axis(profile, t):
     """t with each t <= 0 moved to 1e-6 * t_eps: the closed formulas are
     0/0 on the axis, so the value there is taken one-sided."""
@@ -133,7 +129,7 @@ def _off_axis(profile, t):
 
 def revolution_mean_curvature(a1, a1_d, a1_dd, a2_d, a2_dd):
     """Inward mean curvature of a surface of revolution from its generating
-    curve data (scalars or arrays that broadcast):
+    curve data (arrays that broadcast):
 
         [a1 (a1' a2'' - a2' a1'') + a2' ((a1')^2 + (a2')^2)]
         / (2 a1 ((a1')^2 + (a2')^2)^(3/2))
@@ -144,7 +140,7 @@ def revolution_mean_curvature(a1, a1_d, a1_dd, a2_d, a2_dd):
     if np.any(speed2 <= 0.0):
         raise AxisSingularity("generating curve has zero speed")
     num = a1 * (a1_d * a2_dd - a2_d * a1_dd) + a2_d * speed2
-    return _scalar_or_array(num / (2.0 * a1 * speed2**1.5))
+    return num / (2.0 * a1 * speed2**1.5)
 
 
 def profile_mean_curvature(profile, t):
@@ -162,9 +158,7 @@ def cap_curvature_lower_bound(profile, t):
     obtained by dropping the (positive there) a1 a1' a2'' term."""
     t = _off_axis(profile, t)
     a2_d = profile.alpha2_d(t)
-    return _scalar_or_array(
-        a2_d / (2.0 * profile.alpha1(t) * np.sqrt(np.sin(profile.opening)**2 + a2_d**2))
-    )
+    return a2_d / (2.0 * profile.alpha1(t) * np.sqrt(np.sin(profile.opening)**2 + a2_d**2))
 
 
 def min_cap_curvature(profile, n_samples=256):

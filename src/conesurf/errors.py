@@ -5,10 +5,6 @@ class ConesurfError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DegenerateInput(ConesurfError):
-    """A vector was too close to zero to normalize."""
-
-
 class PoleSingularity(ConesurfError):
     """Stereographic projection evaluated too close to the south pole."""
 

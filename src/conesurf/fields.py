@@ -11,12 +11,12 @@ H(t p) = t^(-k) H(p) for t > 0:
     power(c, s)         H = c / |p|^(1+s)               k = 1 + s
     modulated(c, a)     H = (c + a (p.e3/|p|)) / |p|    k = 1
 
-`CurvatureField.eval` and `.grad` are array-valued: a point (3,) gives a
-float and a (3,) gradient, points (n, 3) give (n,) values and (n, 3)
-gradients.  Every family is linear in its strength parameters (h0, c, a),
-so a scaled field is again a `CurvatureField`.  By homogeneity the vector
-potential is Q(p) = H(p) p / (3 - k), finite only for k < 3, so a power
-field needs s < 2.  A field takes exactly its family's parameters (see
+`CurvatureField.eval` and `.grad` take points with the coordinates on the
+last axis: points (n, 3) give (n,) values and (n, 3) gradients.  Every
+family is linear in its strength parameters (h0, c, a), so a scaled field
+is again a `CurvatureField`.  By homogeneity the vector potential is
+Q(p) = H(p) p / (3 - k), finite only for k < 3, so a power field needs
+s < 2.  A field takes exactly its family's parameters (see
 `PARAMS`), each a finite real number.
 """
 
@@ -60,7 +60,7 @@ class CurvatureField:
                              " its potential Q diverges")
 
     def eval(self, p):
-        """H at one point (3,) -> float, or at points (n, 3) -> (n,)."""
+        """H at points (..., 3) -> (...,)."""
         p = np.asarray(p, dtype=float)
         r = np.linalg.norm(p, axis=-1)
         f = self.family
@@ -76,10 +76,10 @@ class CurvatureField:
         else:
             c, a = self.params["c"], self.params["a"]
             h = (c + a * (p[..., 2] / r)) / r
-        return h if h.ndim else float(h)
+        return h
 
     def grad(self, p):
-        """grad H at one point (3,) -> (3,), or at points (n, 3) -> (n, 3)."""
+        """grad H at points (..., 3) -> (..., 3)."""
         p = np.asarray(p, dtype=float)
         r = np.linalg.norm(p, axis=-1, keepdims=True)
         f = self.family
@@ -128,12 +128,12 @@ def build_potential_Q(field, p):
     """Vector potential Q(p) = (int_0^1 H(t p) t^2 dt) p, so div Q = H.
 
     For a field homogeneous of degree -k the integral is H(p) / (3 - k),
-    finite since a field has k < 3.  Takes (3,) or (n, 3) like `field.eval`.
+    finite since a field has k < 3.  Takes points (..., 3) like `field.eval`.
     """
     p = np.asarray(p, dtype=float)
     if np.any(np.linalg.norm(p, axis=-1) <= 0.0):
         raise OutOfRange("Q is undefined at the origin")
-    return (np.asarray(field.eval(p)) / (3.0 - _homogeneity(field)))[..., None] * p
+    return (field.eval(p) / (3.0 - _homogeneity(field)))[..., None] * p
 
 
 def check_growth(field, beta, samples):

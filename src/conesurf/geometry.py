@@ -1,77 +1,32 @@
-"""Elementary 3D and spherical primitives: cones, projections, winding degree.
+"""Elementary spherical primitives: stereographic projection, winding
+degree, the growth constant c_beta.
 
-Conventions: points are numpy arrays of shape (3,) (or (n, 3) where noted),
-angles are radians.  A cone is described by a unit axis and a half-angle in
-(0, pi/2); a point x is inside when x . axis - |x| cos(half_angle) > 0.
+Conventions: points are numpy arrays with the coordinates on the last axis,
+(n, 3) in space and (n, 2) in the plane, and each function returns an array
+with one row per point; angles are radians.
 """
 
 import numpy as np
 
-from .errors import DegenerateInput, OutOfRange, PointOnCurve, PoleSingularity
+from .errors import OutOfRange, PointOnCurve, PoleSingularity
 
-NORMALIZE_EPS = 1e-14
 SOUTH_POLE_EPS = 1e-10
 MIN_WINDING_DISTANCE = 1e-9  # closest a winding_degree query may be to the loop
 
 
-def as_vec3(x):
-    v = np.asarray(x, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite components")
-    return v
-
-
-def normalize(x):
-    """Unit vector x/|x|; raises DegenerateInput when |x| < 1e-14."""
-    v = as_vec3(x)
-    n = np.linalg.norm(v)
-    if n < NORMALIZE_EPS:
-        raise DegenerateInput(f"cannot normalize vector of norm {n:.3e}")
-    return v / n
-
-
-class ConeSpec:
-    """Open circular cone: axis (unit vector) and half-angle in (0, pi/2)."""
-
-    def __init__(self, axis, half_angle):
-        axis = as_vec3(axis)
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
-            axis = normalize(axis)
-        if not (0.0 < half_angle < np.pi / 2):
-            raise OutOfRange(f"half_angle {half_angle} not in (0, pi/2)")
-        self.axis = axis
-        self.half_angle = float(half_angle)
-        self._cos = np.cos(self.half_angle)
-
-    def margin(self, x):
-        """x . axis - |x| cos(half_angle); positive iff x is interior."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return float(x @ self.axis - np.linalg.norm(x) * self._cos)
-        return x @ self.axis - np.linalg.norm(x, axis=-1) * self._cos
-
-    def __repr__(self):
-        return f"ConeSpec(axis={self.axis}, half_angle={self.half_angle})"
-
-
 def stereographic_south(p):
-    """Stereographic projection from the south pole: p -> (p_x, p_y)/(1 + p_z).
-
-    A point (3,) gives an (x, y) tuple; points (n, 3) give an (n, 2) array.
-    Raises PoleSingularity when a point is too close to the south pole."""
+    """Stereographic projection from the south pole: points (n, 3) ->
+    (p_x, p_y)/(1 + p_z), an (n, 2) array.  Raises PoleSingularity when a
+    point is too close to the south pole."""
     p = np.asarray(p, dtype=float)
-    pts = as_vec3(p)[None, :] if p.ndim == 1 else p
-    if pts.ndim != 2 or pts.shape[1] != 3 or not np.all(np.isfinite(pts)):
+    if p.ndim != 2 or p.shape[1] != 3 or not np.all(np.isfinite(p)):
         raise ValueError(f"expected finite points of shape (n, 3), got shape {p.shape}")
-    near = pts[:, 2] <= -1.0 + SOUTH_POLE_EPS
+    near = p[:, 2] <= -1.0 + SOUTH_POLE_EPS
     if np.any(near):
         raise PoleSingularity(
-            f"point too close to the south pole: z={pts[np.argmax(near), 2]}"
+            f"point too close to the south pole: z={p[np.argmax(near), 2]}"
         )
-    q = pts[:, :2] / (1.0 + pts[:, 2:])
-    return q if p.ndim == 2 else (q[0, 0], q[0, 1])
+    return p[:, :2] / (1.0 + p[:, 2:])
 
 
 def stereographic_south_inverse(q):
@@ -90,32 +45,36 @@ def c_beta(beta):
     return float(cb / (2.0 * (1.0 + cb)))
 
 
-def winding_degree(loop, q):
-    """Winding number of a closed planar polyline around q.
+def winding_degree(loop, queries):
+    """Winding numbers of a closed planar polyline around query points.
 
     `loop` is an (n, 2) array of vertices (closure edge loop[-1] -> loop[0]
-    implied).  Uses atan2 angle accumulation, which is robust for the
-    non-convex loops produced by projected meshes.
+    implied) and `queries` an (m, 2) array; returns the (m,) integer degrees.
+    Uses atan2 angle accumulation, which is robust for the non-convex loops
+    produced by projected meshes.  Raises PointOnCurve when any query lies
+    within MIN_WINDING_DISTANCE of the loop.
     """
     pts = np.asarray(loop, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise ValueError("loop must be an (n, 2) array with n >= 3")
-    q = np.asarray(q, dtype=float)
+    q = np.asarray(queries, dtype=float)
+    if q.ndim != 2 or q.shape[1] != 2:
+        raise ValueError(f"queries must be an (m, 2) array, got shape {q.shape}")
 
-    d = pts - q
-    # distance from q to every closed segment
+    d = pts - q[:, None, :]  # (m, n, 2): loop vertices relative to each query
+    # distance from each query to every closed segment
     a = d
-    b = np.roll(d, -1, axis=0)
+    b = np.roll(d, -1, axis=1)
     ab = b - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    t = np.zeros(len(pts))
+    denom = np.einsum("mij,mij->mi", ab, ab)
+    t = np.zeros(denom.shape)
     nz = denom > 0
-    t[nz] = np.clip(-np.einsum("ij,ij->i", a[nz], ab[nz]) / denom[nz], 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    if np.min(np.linalg.norm(closest, axis=1)) < MIN_WINDING_DISTANCE:
+    t[nz] = np.clip(-np.einsum("mij,mij->mi", a, ab)[nz] / denom[nz], 0.0, 1.0)
+    closest = a + t[..., None] * ab
+    if np.min(np.linalg.norm(closest, axis=2)) < MIN_WINDING_DISTANCE:
         raise PointOnCurve(f"query point within {MIN_WINDING_DISTANCE} of the loop")
 
-    ang = np.arctan2(d[:, 1], d[:, 0])
-    dang = np.diff(np.concatenate([ang, ang[:1]]))
+    ang = np.arctan2(d[..., 1], d[..., 0])
+    dang = np.roll(ang, -1, axis=1) - ang
     dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
-    return int(round(dang.sum() / (2.0 * np.pi)))
+    return np.rint(dang.sum(axis=1) / (2.0 * np.pi)).astype(int)

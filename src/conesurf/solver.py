@@ -136,7 +136,7 @@ def energy_G(state, field):
 
 def _q_term(state, field, w):
     """int Q(X) . w over the disk, w = X_u ^ X_v per triangle."""
-    if getattr(field, "family", None) == "zero":
+    if field.family == "zero":
         return 0.0
     mesh = state.mesh
     centroids = mesh.centroid_op @ state.X
@@ -225,7 +225,7 @@ def _assemble_rhs(mesh, X, field):
     r = np.linalg.norm(centroids, axis=1)
     if not np.all(np.isfinite(r)):
         raise FieldOutOfDomain("iterate has non-finite vertices")
-    needs_origin = getattr(field, "family", None) not in ("zero", "constant")
+    needs_origin = field.family not in ("zero", "constant")
     if needs_origin and np.any(r < 1e-10):
         raise FieldOutOfDomain("iterate touches the origin of the field domain")
     tri_load = 2.0 * field.eval(centroids)[:, None] * w
@@ -320,7 +320,7 @@ def solve(mesh, curve, field, config=None):
     X = system.embed(system.harmonic)
 
     log, level_iterations, level_contraction = [], [], []
-    if getattr(field, "family", None) != "zero":
+    if field.family != "zero":
         for level in range(1, CONTINUATION_LEVELS + 1):
             start = len(log)
             X, contraction = _relax(

@@ -344,11 +344,8 @@ def projection_degree(state):
         raise OriginHit("projected surface leaves the open upper hemisphere")
     loop = stereographic_south(S_rot[mesh.boundary])
     center = loop.mean(axis=0)
-    degs = []
-    for i in range(N_PROBE):
-        j = (i * len(loop)) // N_PROBE
-        q = center + 0.25 * (loop[j] - center)
-        degs.append(winding_degree(loop, q))
+    js = (np.arange(N_PROBE) * len(loop)) // N_PROBE
+    degs = winding_degree(loop, center + 0.25 * (loop[js] - center)).tolist()
     if len(set(degs)) != 1:
         raise InconsistentDegree(f"probe degrees disagree: {degs}")
     return degs[0]

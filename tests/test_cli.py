@@ -320,6 +320,18 @@ class TestProfileCone:
         assert not (tmp_path / "profile_report.json").exists()
         assert not (tmp_path / "profile.csv").exists()
 
+    @pytest.mark.parametrize("beta", [1e-12, 1.5707963])
+    def test_beta_without_admissible_delta_is_config_error(self, tmp_path, capsys, beta):
+        # the schema admits every beta in (0, pi/2), but near either end no
+        # delta keeps beta +- delta in range: a bad cone block, not a
+        # failed verification
+        cfg_path = write_config(tmp_path, {"cone": {"beta": beta}})
+        assert cli.main(["profile-cone", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad cone block" in err and f"beta={beta}" in err
+        assert not (tmp_path / "profile_report.json").exists()
+        assert not (tmp_path / "profile.csv").exists()
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
