@@ -87,7 +87,7 @@ class Uncovered(ConesurfError):
 
 
 class EigensolverFailure(ConesurfError):
-    """The sparse eigensolver failed to converge."""
+    """The stability eigen-solve failed to converge."""
 
 
 class FloatingPointFailure(ConesurfError):

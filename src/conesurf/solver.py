@@ -2,7 +2,7 @@
 
 The vector PDE  Delta X = 2 H(X) X_u ^ X_v  with Dirichlet data X = Gamma
 on the boundary ring is discretized with P1 finite elements on the polar
-disk mesh and solved as the fixed point of the Picard map G: one sparse
+disk mesh and solved as the fixed point of the Picard map G: one polar
 Laplace solve with the right-hand side frozen at the current iterate, plus
 continuation in the field strength over CONTINUATION_LEVELS levels to stay
 in the contraction regime of the radial growth bound.
@@ -32,8 +32,9 @@ part (the Dirichlet solution for the boundary values g with no interior
 load) and an iterate template holding g on the boundary ring are built
 when the solve starts.  The interior stiffness K_II is solved by the
 mesh's polar solve, a DFT along the rings and one tridiagonal system per
-Fourier mode, factored once per mesh; the harmonic part gets one step of
-iterative refinement against the full stiffness.  A step is then one
+Fourier mode, whose batched Thomas factors the mesh computes on its first
+solve and keeps; the harmonic part gets one step of iterative refinement
+against the full stiffness.  A step is then one
 right-hand-side assembly, one polar solve added to the harmonic part and
 one least-squares fit with at most ANDERSON_DEPTH columns.  `energies`
 returns F and G together from one quadrature of their shared Q coupling.
@@ -155,14 +156,17 @@ class _DiskSystem:
 
     def __init__(self, mesh, boundary_values):
         self.mesh = mesh
-        self.interior = mesh.interior
+        # the interior vertices are the prefix of the mesh layout, so the
+        # interior values of a vertex array are a view of its first rows
+        n = len(mesh.interior)
+        self.interior = slice(0, n)
         self.template = np.zeros((len(mesh.vertices), boundary_values.shape[1]))
         self.template[mesh.boundary] = boundary_values
         # K_II x = -K_ib g, then one step of fixed-precision iterative
         # refinement (Skeel 1980) on the interior residual -(K X)[interior]
         # of the full system; without it the (96, 192) flat plane's
         # residual is 1.4e-8, above the default residual_tol
-        x = np.zeros((len(self.interior), boundary_values.shape[1]))
+        x = np.zeros((n, boundary_values.shape[1]))
         for _ in range(2):
             x += mesh.solve_interior_stiffness(-(mesh.stiffness @ self.embed(x))[self.interior])
         self.harmonic = x

@@ -8,17 +8,16 @@ returned DensityField.  The report is one table: each row is a check's
 name, value, comparison and tolerance, and its pass flag is the comparison
 applied to the value and the tolerance.
 
-The stability eigenvalue mu_1 is computed by LOBPCG preconditioned with the
-mesh's polar solve of the interior stiffness (a DFT along the rings and one
-tridiagonal system per Fourier mode), so `verify` builds no sparse
-factorization."""
+The stability eigenvalue mu_1 is computed by a one-vector LOBPCG
+(Knyazev 2001) preconditioned with the mesh's polar solve of the interior
+stiffness (a DFT along the rings and one tridiagonal system per Fourier
+mode): a Rayleigh-Ritz step on [x, w, p] per iteration, with the operators
+applied as the mesh's stencils, so `verify` builds no matrix."""
 
-import warnings
 from dataclasses import dataclass
 from operator import eq, ge, gt, lt
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .errors import (
     EigensolverFailure,
@@ -139,39 +138,94 @@ def stability_eigenvalue(state, p):
     with zero boundary values, for the per-vertex density p; verify_surface
     calls the surface stable when mu_1 >= -STABILITY_TOL * median(E).
 
-    mu_1 comes from LOBPCG (Knyazev 2001) preconditioned by the mesh's polar
-    solve of the interior stiffness K_II, so no sparse factorization is
-    built.  A pair whose residual |A phi - mu_1 M phi| (phi M-normalized)
-    exceeds EIGEN_TOL, and any exception or warning raised by the solve,
-    raises EigensolverFailure."""
+    mu_1 comes from a one-vector LOBPCG (Knyazev 2001) preconditioned by
+    the mesh's polar solve of the interior stiffness K_II, started from the
+    constant vector.  A non-finite iterate, a breakdown of the Rayleigh-Ritz
+    step, and a pair whose residual |A phi - mu_1 M phi| (phi M-normalized)
+    still exceeds EIGEN_TOL after EIGEN_MAXITER steps raise
+    EigensolverFailure."""
     mesh = state.mesh
     # the interior vertices are the prefix 0 .. n-1 of the mesh layout
-    n = len(mesh.interior)
-
+    n, nv = len(mesh.interior), len(mesh.vertices)
     # mass matrix weighted by p (p interpolated as triangle averages)
     Mp = mesh.weighted_mass(p[mesh.triangles].mean(axis=1))
-    A = (mesh.stiffness - 2.0 * Mp)[:n, :n]
-    M = mesh.mass[:n, :n]
+
+    def interior(apply):
+        """The interior block [:n, :n] of a map of vertex vectors."""
+        def block(x):
+            full = np.zeros(nv)
+            full[:n] = x
+            return apply(full)[:n]
+        return block
+
+    A = interior(lambda x: mesh.stiffness @ x - 2.0 * (Mp @ x))
+    B = interior(lambda x: mesh.mass @ x)
+
     # K_II^-1 A is the identity plus the bounded -2 K_II^-1 M_p, so the
-    # polar solve is a nearly exact preconditioner
-    T = LinearOperator((n, n), matvec=mesh.solve_interior_stiffness,
-                       matmat=mesh.solve_interior_stiffness, dtype=float)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # a fixed start vector makes the result reproducible; the ground
-            # state of the form is positive, so the constant is not
-            # orthogonal to it
-            vals, vecs = lobpcg(A, np.ones((n, 1)), B=M, M=T, largest=False,
-                                tol=EIGEN_TOL, maxiter=EIGEN_MAXITER)
-            mu = float(vals[0])
-            residual = float(np.linalg.norm(A @ vecs - mu * (M @ vecs)))
-    except Exception as exc:  # lobpcg's warnings are raised as errors here
-        raise EigensolverFailure(str(exc)) from exc
-    if not residual <= EIGEN_TOL:
-        raise EigensolverFailure(f"stability eigenpair residual {residual:.3e} "
-                                 f"exceeds {EIGEN_TOL:.0e}")
-    return mu
+    # polar solve is a nearly exact preconditioner; the ground state of the
+    # form is positive, so the constant start is not orthogonal to it
+    return _smallest_eigenvalue(A, B, mesh.solve_interior_stiffness, np.ones(n))
+
+
+def _smallest_eigenvalue(A, B, T, x):
+    """Smallest eigenvalue of A x = mu B x (B positive definite) by
+    one-vector LOBPCG preconditioned with T, from the start vector x.  Each
+    step is a Rayleigh-Ritz step on the B-normalized columns [x, w, p]: w the
+    preconditioned residual, B-orthogonalized against x, and p the part of
+    the previous step along w and p.  A, B and T map (n,) vectors to (n,)
+    vectors; A and B are applied once each per step, and their
+    products with x and p are carried along.  When the carried residual
+    meets EIGEN_TOL it is recomputed from fresh products, and the solve goes
+    on from those when it does not."""
+    def normalized(v, Av, Bv, step, optional=False):
+        """(v, Av, Bv) scaled to v B v = 1; None for a zero optional v."""
+        scale = float(v @ Bv)
+        if not scale > 0.0:
+            if optional and scale == 0.0:
+                return None
+            raise EigensolverFailure(f"stability eigen-solve broke down at step {step}")
+        scale = 1.0 / np.sqrt(scale)
+        return v * scale, Av * scale, Bv * scale
+
+    x, Ax, Bx = normalized(x, A(x), B(x), 0)
+    mu = float(x @ Ax)
+    p = None
+    for step in range(EIGEN_MAXITER + 1):
+        r = Ax - mu * Bx
+        residual = float(np.linalg.norm(r))
+        if residual <= EIGEN_TOL:
+            Ax, Bx = A(x), B(x)
+            mu = float(x @ Ax) / float(x @ Bx)
+            r = Ax - mu * Bx
+            residual = float(np.linalg.norm(r)) / np.sqrt(float(x @ Bx))
+            if residual <= EIGEN_TOL:
+                return mu
+        if not np.isfinite(residual):
+            raise EigensolverFailure(f"stability eigen-solve reached a non-finite "
+                                     f"residual at step {step}")
+        if step == EIGEN_MAXITER:
+            raise EigensolverFailure(f"stability eigenpair residual {residual:.3e} "
+                                     f"exceeds {EIGEN_TOL:.0e} after {step} steps")
+        w = T(r)
+        w -= x * float(Bx @ w)
+        w = normalized(w, A(w), B(w), step)
+        basis = [(x, Ax, Bx), w] + ([p] if p is not None else [])
+        for columns in (basis, basis[:2]):
+            S, AS, BS = (np.column_stack(c) for c in zip(*columns))
+            try:
+                L = np.linalg.cholesky(0.5 * (S.T @ BS + BS.T @ S))
+            except np.linalg.LinAlgError:
+                continue
+            Linv = np.linalg.inv(L)
+            vals, vecs = np.linalg.eigh(Linv @ (0.5 * (S.T @ AS + AS.T @ S)) @ Linv.T)
+            break
+        else:
+            raise EigensolverFailure(f"stability eigen-solve broke down at step {step}")
+        y = Linv.T @ vecs[:, 0]
+        mu = float(vals[0])
+        x, Ax, Bx = normalized(S @ y, AS @ y, BS @ y, step)
+        y[0] = 0.0
+        p = normalized(S @ y, AS @ y, BS @ y, step, optional=True)
 
 
 # ---------------------------------------------------------------------------

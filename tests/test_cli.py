@@ -1,7 +1,9 @@
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -766,3 +768,50 @@ def test_console_script(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+def run_python(code, cwd):
+    """Run `code` in a fresh interpreter that imports conesurf from the
+    sources under test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestNumpyOnly:
+    """conesurf needs numpy only; scipy is a test dependency.  These run in
+    fresh interpreters, because the test session itself imports scipy."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        proc = run_python("import sys, conesurf.cli\n"
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+                          tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_solve_and_verify_run_with_scipy_blocked(self, tmp_path):
+        # the radial field at 0.9 c_beta on (12, 24), and the flat oracle on
+        # (7, 21), whose rings have an odd number of vertices
+        flat = {"cone": {"beta": BETA},
+                "boundary": {"type": "cap", "alpha_c": float(np.arctan(0.5)),
+                             "g": {"const": float(np.sqrt(5.0))}},
+                "field": {"family": "zero"},
+                "mesh": {"n_r": 7, "n_theta": 21}}
+        for name, cfg in (("radial", solve_config()), ("flat", flat)):
+            write_config(tmp_path, cfg, name + ".json")
+            (tmp_path / name).mkdir()
+        proc = run_python(
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from conesurf import cli\n"
+            "for name in ('radial', 'flat'):\n"
+            "    for command in ('solve', 'verify'):\n"
+            "        code = cli.main([command, '--config', name + '.json', '--out', name])\n"
+            "        assert code == 0, (name, command, code)\n"
+            "    with open(name + '/report.json') as f:\n"
+            "        assert json.load(f)['pass'] is True, name\n"
+            "print('ok')\n",
+            tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"

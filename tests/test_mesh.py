@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from reference_operators import element_operators, interior_block, neighbor_pattern
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
@@ -84,7 +87,7 @@ class TestOperators:
         m = cs.build_disk_mesh(8, 24)
         ones = np.ones(len(m.vertices))
         assert ones @ (m.mass @ ones) == pytest.approx(m.areas.sum(), rel=1e-12)
-        np.testing.assert_allclose(m.lumped_mass, np.asarray(m.mass.sum(axis=1)).ravel())
+        np.testing.assert_allclose(m.lumped_mass, m.mass @ ones)
 
     def test_weighted_mass_matches_element_loop(self):
         m = cs.build_disk_mesh(4, 8)
@@ -93,8 +96,9 @@ class TestOperators:
         local = (np.ones((3, 3)) + np.eye(3)) / 12.0
         for t, tri in enumerate(m.triangles):
             ref[np.ix_(tri, tri)] += w[t] * m.areas[t] * local
-        np.testing.assert_allclose(m.weighted_mass(w).toarray(), ref, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(m.weighted_mass(1.0).toarray(), m.mass.toarray())
+        eye = np.eye(len(m.vertices))
+        np.testing.assert_allclose(m.weighted_mass(w) @ eye, ref, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(m.weighted_mass(1.0) @ eye, m.mass @ eye)
 
     def test_derivative_operators_linear_exact(self):
         m = cs.build_disk_mesh(6, 16)
@@ -143,7 +147,7 @@ def _close(got, ref):
 
 @pytest.mark.parametrize("n_r,n_theta", [(6, 12), (12, 24)])
 class TestTriangleOperators:
-    """The sparse operators against per-triangle gathers and scatters."""
+    """The ring-block operators against per-triangle gathers and scatters."""
 
     def test_derivative_operators(self, n_r, n_theta):
         m = cs.build_disk_mesh(n_r, n_theta)
@@ -249,7 +253,7 @@ def reference_second_derivative_operator(mesh, batch=512):
     symmetry of the mesh: row 3 i + c holds vertex i's sorted two-ring,
     then i itself."""
     nv = len(mesh.vertices)
-    adj = mesh._neighbor_pattern()
+    adj = neighbor_pattern(mesh)
     ring2 = (adj @ adj + adj).tocsr()
     ring2.setdiag(0)
     ring2.eliminate_zeros()
@@ -279,14 +283,16 @@ def test_second_derivative_operator_matches_per_vertex_fits(n_r, n_theta):
     m = cs.build_disk_mesh(n_r, n_theta)
     D2 = m.second_derivative_operator()
     ref = reference_second_derivative_operator(m)
-    assert D2.shape == ref.shape and D2.nnz == ref.nnz
-    np.testing.assert_array_equal(D2.indptr, ref.indptr)
-    got, want = D2.copy(), ref.copy()
-    got.sort_indices()
-    want.sort_indices()
-    np.testing.assert_array_equal(got.indices, want.indices)
-    tol = 1e-13 * np.max(np.abs(ref.data))
-    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=tol)
+    assert D2.shape == ref.shape
+    F = np.random.default_rng(n_r).standard_normal((len(m.vertices), 3))
+    for f in (F, F[:, 1]):
+        want = ref @ f
+        np.testing.assert_allclose(D2 @ f, want, rtol=0, atol=1e-13 * np.max(abs(ref) @ abs(f)))
+    if n_r == 6:
+        # every entry, the zeros outside the two-rings included
+        eye = np.eye(len(m.vertices))
+        np.testing.assert_allclose(D2 @ eye, ref.toarray(), rtol=0,
+                                   atol=1e-13 * np.max(np.abs(ref.data)))
 
 
 @pytest.mark.parametrize("n_r,n_theta",
@@ -300,9 +306,8 @@ def test_second_derivative_operator_matches_lstsq(n_r, n_theta):
     np.testing.assert_allclose(m.second_derivatives(F), ref, rtol=0, atol=tol)
     np.testing.assert_allclose(m.second_derivatives(F[:, 0]), ref[:, :, 0], rtol=0,
                                atol=1e-11 * np.max(np.abs(ref[:, :, 0])))
-    pattern = m._neighbor_pattern()
     for i, want in enumerate(adj):
-        np.testing.assert_array_equal(pattern[i].indices, sorted(want))
+        assert m._neighbors(i) == want
 
 
 def test_second_derivative_operator_is_lazy_and_cached(flat_disk_curve, monkeypatch):
@@ -320,7 +325,8 @@ def test_second_derivative_operator_is_lazy_and_cached(flat_disk_curve, monkeypa
 
 
 def interior_stiffness(mesh):
-    return mesh.stiffness.tocsc()[np.ix_(mesh.interior, mesh.interior)]
+    """K_II from the element-loop stiffness."""
+    return interior_block(element_operators(mesh)["stiffness"], mesh)
 
 
 def max_abs(a):
@@ -333,7 +339,7 @@ def max_abs(a):
 BACKWARD_ERROR_BOUND = 1e-14
 
 
-@pytest.mark.parametrize("n_r,n_theta", [(4, 8), (5, 9), (7, 20), (12, 24), (48, 96)])
+@pytest.mark.parametrize("n_r,n_theta", [(4, 8), (5, 9), (7, 20), (7, 21), (12, 24), (48, 96)])
 @pytest.mark.parametrize("shape", [(), (3,)])
 def test_interior_stiffness_solve_matches_splu(n_r, n_theta, shape):
     m = cs.build_disk_mesh(n_r, n_theta)
@@ -385,3 +391,58 @@ def test_interior_stiffness_factor_is_lazy_and_cached(monkeypatch):
 
     monkeypatch.setattr(cs.DiskMesh, "interior_stiffness_modes", refuse)
     np.testing.assert_array_equal(m.solve_interior_stiffness(b), x)
+
+
+@pytest.fixture(scope="module", params=[(4, 8), (7, 21), (12, 24), (96, 192)],
+                ids=lambda s: f"{s[0]}x{s[1]}")
+def mesh_and_reference(request):
+    """A mesh, a per-triangle weight and the element-loop operators."""
+    m = cs.build_disk_mesh(*request.param)
+    w = np.random.default_rng(5).uniform(-1.0, 2.0, len(m.triangles))
+    return m, w, element_operators(m, w)
+
+
+@pytest.mark.parametrize("name", ["stiffness", "mass", "weighted_mass", "d_u", "d_v",
+                                  "centroid_op", "load_op"])
+@pytest.mark.parametrize("columns", [None, 1, 3])
+def test_stencils_match_element_loops(mesh_and_reference, name, columns):
+    # every ring-block operator, on 1-D and multi-column inputs, against the
+    # sum over triangles of the local matrices; they differ by the round-off
+    # of the sums, at most 3.0e-16 of max |ref| |x| up to (96, 192)
+    m, w, ref = mesh_and_reference
+    op = m.weighted_mass(w) if name == "weighted_mass" else getattr(m, name)
+    want = ref[name]
+    assert op.shape == want.shape
+    shape = (want.shape[1],) if columns is None else (want.shape[1], columns)
+    x = np.random.default_rng(len(name)).standard_normal(shape)
+    got = op @ x
+    assert got.shape == (want.shape[0],) + shape[1:]
+    scale = abs(want) @ abs(x)
+    np.testing.assert_allclose(got, want @ x, rtol=0, atol=1e-14 * np.max(scale))
+    # the kernels' work arrays are kept between calls and leave no trace
+    np.testing.assert_array_equal(op @ x, got)
+
+
+def test_triangle_gather_stacks_the_three_gathers(mesh_and_reference):
+    m, _, _ = mesh_and_reference
+    X = np.random.default_rng(9).standard_normal((len(m.vertices), 3))
+    stacked = (m.triangle_gather @ X).reshape(3, -1, 3)
+    for part, op in zip(stacked, (m.d_u, m.d_v, m.centroid_op)):
+        np.testing.assert_array_equal(part, op @ X)
+
+
+def test_singular_mode_pivot_raises_at_factor_time(monkeypatch):
+    # a zero pivot (the center row) and a non-finite one raise LinAlgError
+    # naming the row, with no warning from the elimination
+    m = cs.build_disk_mesh(6, 12)
+    dl, d, du = m.interior_stiffness_modes()
+    for row, bad in ((0, 0.0), (3, np.nan)):
+        d_bad = d.copy()
+        d_bad[row] = bad
+        m._k_ii = None
+        m._plans.clear()
+        monkeypatch.setattr(m, "interior_stiffness_modes", lambda: (dl, d_bad, du))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match=f"row {row}"):
+                m.solve_interior_stiffness(np.ones(len(m.interior)))

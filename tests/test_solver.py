@@ -395,8 +395,7 @@ def relifting_solve(mesh, curve, field, config):
     [(iterations, contraction) per level]) or, when a level stalls,
     (None, iteration_log, level)."""
     g = curve.points(arclength_parametrization(curve, mesh.n_theta))
-    K = mesh.stiffness.tocsc()
-    K_ib = K[np.ix_(mesh.interior, mesh.boundary)]
+    K = mesh.stiffness
 
     def iterate(x):
         X = np.zeros((len(mesh.vertices), 3))
@@ -405,7 +404,10 @@ def relifting_solve(mesh, curve, field, config):
         return X
 
     def dirichlet(rhs_interior=None):
-        harmonic = mesh.solve_interior_stiffness(-K_ib @ g)
+        # the lift -K_ib g is minus the interior rows of K times g on the
+        # boundary and zero inside
+        lift = -(K @ iterate(np.zeros((len(mesh.interior), 3))))[mesh.interior]
+        harmonic = mesh.solve_interior_stiffness(lift)
         harmonic += mesh.solve_interior_stiffness(-(K @ iterate(harmonic))[mesh.interior])
         if rhs_interior is None:
             return harmonic

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_operators import element_operators, interior_block
 from scipy.sparse.linalg import eigsh
 
 import conesurf as cs
@@ -165,11 +166,13 @@ class TestStability:
 
     @staticmethod
     def plain_shift_invert(state, p):
-        """mu_1 with eigsh factoring A - sigma M itself."""
-        mesh, inner = state.mesh, state.mesh.interior
-        Mp = mesh.weighted_mass(p[mesh.triangles].mean(axis=1))
-        A = (mesh.stiffness - 2.0 * Mp)[np.ix_(inner, inner)].tocsc()
-        M = mesh.mass[np.ix_(inner, inner)].tocsc()
+        """mu_1 with eigsh factoring A - sigma M itself, on the
+        element-loop matrices."""
+        mesh = state.mesh
+        ops = element_operators(mesh, p[mesh.triangles].mean(axis=1))
+        A = interior_block(ops["stiffness"] - 2.0 * ops["weighted_mass"], mesh)
+        M = interior_block(ops["mass"], mesh)
+        inner = mesh.interior
         sigma = -2.0 * float(np.max(np.abs(p))) - 10.0
         vals = eigsh(A, k=1, M=M, sigma=sigma, which="LM", v0=np.ones(len(inner)),
                      return_eigenvectors=False)
@@ -208,6 +211,19 @@ class TestStability:
             assert mu < 0
         assert mu == pytest.approx(self.plain_shift_invert(st, p), rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["zero", "five", "random"])
+    @pytest.mark.parametrize("n_r, n_theta", [(4, 8), (7, 21), (48, 96)])
+    def test_within_eigen_tol_bound_of_shift_invert(self, n_r, n_theta, kind):
+        # the bound stated at EIGEN_TOL: the residual bound 1e-8 puts mu_1
+        # within 5e-13 relative of shift-invert Lanczos; (7, 21) has an odd
+        # number of ring vertices
+        mesh = cs.build_disk_mesh(n_r, n_theta)
+        st = synthetic_state(mesh, lambda u, v: np.array([u, v, 2.0]))
+        p = self.density(kind, len(mesh.vertices))
+        mu = stability_eigenvalue(st, p)
+        assert mu == pytest.approx(self.plain_shift_invert(st, p), rel=5e-13)
+
     @staticmethod
     def assert_typed_failure(p):
         # EigensolverFailure whether the caller turns warnings into errors
@@ -224,6 +240,10 @@ class TestStability:
     def test_non_convergence_is_typed(self, monkeypatch):
         monkeypatch.setattr(verifier, "EIGEN_MAXITER", 2)
         self.assert_typed_failure(lambda nv: self.density("random", nv))
+
+    def test_one_step_is_typed(self, monkeypatch):
+        monkeypatch.setattr(verifier, "EIGEN_MAXITER", 1)
+        self.assert_typed_failure(lambda nv: np.zeros(nv))
 
     def test_nan_density_is_typed(self):
         self.assert_typed_failure(lambda nv: np.where(np.arange(nv) == 3, np.nan, 0.0))
