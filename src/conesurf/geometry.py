@@ -29,13 +29,6 @@ def stereographic_south(p):
     return p[:, :2] / (1.0 + p[:, 2:])
 
 
-def stereographic_south_inverse(q):
-    """Inverse of stereographic_south, mapping the plane back to S^2."""
-    x, y = float(q[0]), float(q[1])
-    s = x * x + y * y
-    return np.array([2.0 * x, 2.0 * y, 1.0 - s]) / (1.0 + s)
-
-
 def c_beta(beta):
     """cos(beta) / (2 (1 + cos(beta))), the radial growth bound for a cone
     of half-angle beta.  Strictly decreasing on (0, pi/2)."""

@@ -29,14 +29,16 @@ first steps remove.
 
 Each quantity that is fixed for a solve is computed once: the harmonic
 part (the Dirichlet solution for the boundary values g with no interior
-load) and an iterate template holding g on the boundary ring are built
-when the solve starts.  The interior stiffness K_II is solved by the
-mesh's polar solve, a DFT along the rings and one tridiagonal system per
-Fourier mode, whose batched Thomas factors the mesh computes on its first
-solve and keeps; the harmonic part gets one step of iterative refinement
-against the full stiffness.  A step is then one
-right-hand-side assembly, one polar solve added to the harmonic part and
-one least-squares fit with at most ANDERSON_DEPTH columns.  `energies`
+load) is built when the solve starts, in the one vertex array that holds
+the iterate.  Its boundary rows are g and are never written again; each
+step writes the interior rows, the prefix of the mesh layout, in place.
+The interior stiffness K_II is solved by the mesh's polar solve, a DFT
+along the rings and one tridiagonal system per Fourier mode, whose batched
+Thomas factors the mesh computes on its first solve and keeps; the
+harmonic part gets one step of iterative refinement against the full
+stiffness.  A step is then one right-hand-side assembly, one polar solve
+added to the harmonic part and one least-squares fit with at most
+ANDERSON_DEPTH columns.  `energies`
 returns F and G together from one quadrature of their shared Q coupling.
 
 The boundary ring is placed at equal arclength along Gamma and stays
@@ -148,39 +150,21 @@ def _q_term(state, field, w):
     return total
 
 
-class _DiskSystem:
-    """Dirichlet solves of one solve: the harmonic part (the solution with
-    zero interior load and the boundary values g), and an iterate template
-    that holds g on the boundary ring.  The interior stiffness K_II is
-    solved by the mesh's polar solve."""
-
-    def __init__(self, mesh, boundary_values):
-        self.mesh = mesh
-        # the interior vertices are the prefix of the mesh layout, so the
-        # interior values of a vertex array are a view of its first rows
-        n = len(mesh.interior)
-        self.interior = slice(0, n)
-        self.template = np.zeros((len(mesh.vertices), boundary_values.shape[1]))
-        self.template[mesh.boundary] = boundary_values
-        # K_II x = -K_ib g, then one step of fixed-precision iterative
-        # refinement (Skeel 1980) on the interior residual -(K X)[interior]
-        # of the full system; without it the (96, 192) flat plane's
-        # residual is 1.4e-8, above the default residual_tol
-        x = np.zeros((n, boundary_values.shape[1]))
-        for _ in range(2):
-            x += mesh.solve_interior_stiffness(-(mesh.stiffness @ self.embed(x))[self.interior])
-        self.harmonic = x
-
-    def solve_interior(self, rhs_interior):
-        """Interior values of the solution of K X = b with X = g on the
-        boundary ring and b = rhs_interior on the interior."""
-        return self.harmonic + self.mesh.solve_interior_stiffness(rhs_interior)
-
-    def embed(self, x):
-        """Iterate with interior values x and g on the boundary ring."""
-        X = self.template.copy()
-        X[self.interior] = x
-        return X
+def _harmonic_iterate(mesh, boundary_values):
+    """Vertex array X holding the boundary values g on the boundary ring
+    and the harmonic part (the solution with zero interior load) on the
+    interior, whose values are the first rows: the interior vertices are
+    the prefix of the mesh layout."""
+    n = len(mesh.interior)
+    X = np.zeros((len(mesh.vertices), boundary_values.shape[1]))
+    X[mesh.boundary] = boundary_values
+    # K_II x = -K_ib g, then one step of fixed-precision iterative
+    # refinement (Skeel 1980) on the interior residual -(K X)[:n] of the
+    # full system; without it the (96, 192) flat plane's residual is
+    # 1.4e-8, above the default residual_tol
+    for _ in range(2):
+        X[:n] += mesh.solve_interior_stiffness(-(mesh.stiffness @ X)[:n])
+    return X
 
 
 class _Anderson:
@@ -256,40 +240,41 @@ def arclength_parametrization(curve, n_boundary):
     return np.interp(targets, s, thetas)
 
 
-def _relax(system, field, X, config, log, level, final):
+def _relax(mesh, harmonic, field, X, config, log, level, final):
     """Anderson-mixed Picard steps of continuation level `level` (1-based)
     from X, appending each update to log, until the update meets the
-    level's tolerance or config.max_iters run out.  The tolerance is
-    config.update_tol when final (the last level) and max(update_tol,
-    LEVEL_REDUCTION * first update) otherwise.  Returns (X, contraction);
-    raises NoConvergence naming the level when the steps stall, and at once
-    (residual inf) when an iterate leaves the domain of the field."""
-    mesh, interior = system.mesh, system.interior
+    level's tolerance or config.max_iters run out.  Each step writes the
+    new interior rows into X in place; `harmonic` holds the interior rows
+    of the harmonic part.  The tolerance is config.update_tol when final
+    (the last level) and max(update_tol, LEVEL_REDUCTION * first update)
+    otherwise.  Returns the level's contraction; raises NoConvergence
+    naming the level when the steps stall, and at once (residual inf) when
+    an iterate leaves the domain of the field."""
     start = len(log)
     tol = config.update_tol
-    x = X[interior]
+    n = len(harmonic)
+    x = X[:n]  # the interior rows, a view of X
     mixer = _Anderson(x.size)
     for _ in range(config.max_iters):
         try:
             b, _ = _assemble_rhs(mesh, X, field)
         except FieldOutOfDomain as exc:
             raise NoConvergence(len(log), np.inf, level=level) from exc
-        x_next = mixer.step(x, system.solve_interior(b[interior]))
+        x_next = mixer.step(x, harmonic + mesh.solve_interior_stiffness(b[:n]))
         update = float(np.max(np.abs(x_next - x)))
-        x = x_next
-        X = system.embed(x)
+        x[:] = x_next  # a copy: the mixer keeps the Picard image it returned
         log.append(update)
         if not np.isfinite(update):
             break
         if not final and len(log) == start + 1:
             tol = max(config.update_tol, LEVEL_REDUCTION * update)
         if update <= tol:
-            return X, _contraction(log[start:])
+            return _contraction(log[start:])
         earlier = len(log) - 1 - STALL_WINDOW
         if earlier >= start and update >= log[earlier]:
             break
     else:  # out of steps: the final residual test of `solve` decides
-        return X, _contraction(log[start:])
+        return _contraction(log[start:])
     # stalled: not finite, or not below the update STALL_WINDOW steps earlier
     residual = solve_residual(mesh, X, field)[0] if np.all(np.isfinite(X)) else np.inf
     raise NoConvergence(len(log), residual, level=level,
@@ -320,16 +305,16 @@ def solve(mesh, curve, field, config=None):
         config = SolveConfig()
     boundary_theta = arclength_parametrization(curve, mesh.n_theta)
 
-    system = _DiskSystem(mesh, curve.points(boundary_theta))
-    X = system.embed(system.harmonic)
+    X = _harmonic_iterate(mesh, curve.points(boundary_theta))
 
     log, level_iterations, level_contraction = [], [], []
     if field.family != "zero":
+        harmonic = X[:len(mesh.interior)].copy()
         for level in range(1, CONTINUATION_LEVELS + 1):
             start = len(log)
-            X, contraction = _relax(
-                system, field.scaled(level / CONTINUATION_LEVELS), X, config, log, level,
-                final=level == CONTINUATION_LEVELS)
+            contraction = _relax(
+                mesh, harmonic, field.scaled(level / CONTINUATION_LEVELS), X, config, log,
+                level, final=level == CONTINUATION_LEVELS)
             level_iterations.append(len(log) - start)
             level_contraction.append(contraction)
 

@@ -815,3 +815,20 @@ class TestNumpyOnly:
             tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"
+
+    def test_check_domain_and_profile_cone_run_with_scipy_blocked(self, tmp_path):
+        write_config(tmp_path, solve_config())
+        proc = run_python(
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from conesurf import cli\n"
+            "for command, report in (('check-domain', 'domain_report.json'),\n"
+            "                        ('profile-cone', 'profile_report.json')):\n"
+            "    code = cli.main([command, '--config', 'config.json', '--out', '.'])\n"
+            "    assert code == 0, (command, code)\n"
+            "    with open(report) as f:\n"
+            "        assert json.load(f)['pass'] is True, command\n"
+            "print('ok')\n",
+            tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 import conesurf as cs
-from conesurf.cone_smoothing import cap_curvature_lower_bound, profile_mean_curvature
+from conesurf.cone_smoothing import (
+    DELTA_STEP,
+    cap_curvature_lower_bound,
+    profile_mean_curvature,
+)
 from conesurf.errors import AxisSingularity, OutOfRange
+
+
+def admissible(beta, d):
+    """beta +- d in (0, pi/2) and c_{beta-d} < cot(beta+d)/2."""
+    return 0 < beta - d and beta + d < np.pi / 2 and cs.c_beta(beta - d) < 0.5 / np.tan(beta + d)
 
 
 class TestSelectDelta:
@@ -25,6 +34,17 @@ class TestSelectDelta:
         assert d > 0
         assert 0 < beta - d and beta + d < np.pi / 2
         assert cs.c_beta(beta - d) < 0.5 / np.tan(beta + d)
+
+    @pytest.mark.parametrize("beta, expected", [(5e-4, 2.5e-4), (np.pi / 2 - 5e-4, 1.220703125e-7)],
+                             ids=["near_0", "near_pi_over_2"])
+    def test_below_the_grid_halves_delta_step(self, beta, expected):
+        # beta within DELTA_STEP of 0 or pi/2 admits no grid point, so
+        # select_delta halves DELTA_STEP until delta is admissible
+        d = cs.select_delta(beta)
+        assert d == expected
+        assert d < DELTA_STEP and np.log2(DELTA_STEP / d).is_integer()
+        assert admissible(beta, d)
+        assert not admissible(beta, 2.0 * d)
 
     @pytest.mark.parametrize("beta", [0.2, np.pi / 4, 1.4])
     def test_halved_delta_still_admissible(self, beta):

@@ -9,7 +9,13 @@ from scipy.sparse.linalg import eigsh
 
 import conesurf as cs
 from conesurf import verifier
-from conesurf.errors import EigensolverFailure, NotInjectiveAt, Uncovered
+from conesurf.errors import (
+    EigensolverFailure,
+    InconsistentDegree,
+    NotInjectiveAt,
+    OriginHit,
+    Uncovered,
+)
 from conesurf.solver import SurfaceState
 from conesurf.verifier import (
     EDGE_TOL,
@@ -43,6 +49,13 @@ def synthetic_state(mesh, fn):
         X=X,
         boundary_theta=2 * np.pi * np.arange(n_b) / n_b,
     )
+
+
+def with_rows(state, rows, values):
+    """A copy of state with the vertex rows `rows` set to `values`."""
+    X = state.X.copy()
+    X[rows] = values
+    return SurfaceState(mesh=state.mesh, X=X, boundary_theta=state.boundary_theta)
 
 
 def branch_state(power, n_r, n_theta):
@@ -273,6 +286,12 @@ class TestEnclosure:
             res.append(check_enclosure(st, BETA, density_of(st, zero))["identity_residual"])
         assert res[1] < 0.6 * res[0]
 
+    def test_vertex_at_origin_is_origin_hit(self, flat_disk_state):
+        density = density_of(flat_disk_state, cs.CurvatureField("zero"))
+        # vertex 0 is the center of the disk
+        with pytest.raises(OriginHit, match=r"\|X\| reaches 0\.000e\+00"):
+            check_enclosure(with_rows(flat_disk_state, 0, 0.0), BETA, density)
+
     def test_endtoend_barrier_positive(self, endtoend_state, endtoend_scenario):
         beta, field = endtoend_scenario[0], endtoend_scenario[4]
         rep = check_enclosure(endtoend_state, beta, density_of(endtoend_state, field))
@@ -319,6 +338,25 @@ class TestDegreeAndJacobian:
             boundary_theta=flat_disk_state.boundary_theta,
         )
         assert projection_degree(mirrored) == -1
+
+    def test_vertex_leaving_the_hemisphere_is_origin_hit(self, flat_disk_state):
+        # the center moved to the south pole of the unit sphere
+        moved = with_rows(flat_disk_state, 0, [0.0, 0.0, -1.0])
+        with pytest.raises(OriginHit, match="open upper hemisphere"):
+            projection_degree(moved)
+
+    def test_self_overlapping_loop_is_inconsistent(self, flat_disk_state):
+        # the boundary ring on the limacon r = 1/2 + cos(theta) at height
+        # 2, which winds twice around the points of its inner loop and once
+        # around the other points inside it: the probes see both degrees
+        mesh = flat_disk_state.mesh
+        u, v = mesh.vertices[mesh.boundary].T
+        theta = np.arctan2(v, u)
+        r = 0.5 + np.cos(theta)
+        limacon = np.stack([r * np.cos(theta), r * np.sin(theta), np.full_like(r, 2.0)], axis=1)
+        with pytest.raises(InconsistentDegree, match="probe degrees disagree") as info:
+            projection_degree(with_rows(flat_disk_state, mesh.boundary, limacon))
+        assert set(re.findall(r"\d", str(info.value))) == {"1", "2"}
 
     def test_flat_disk_jacobian_identity(self, flat_disk_state):
         assert jacobian_identity_check(flat_disk_state) < 5e-3
