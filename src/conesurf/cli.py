@@ -256,7 +256,7 @@ def run_verify(config, out_dir, surface_path=None):
     grid = domain_grid(boundary, opts["grid_size"])
     lam = extract_radial_graph(state, grid)
     rows = np.column_stack([np.arctan2(grid[:, 1], grid[:, 0]), np.arccos(grid[:, 2]), lam])
-    io.write_csv(paths["radial_graph_csv"], ("theta", "phi", "lambda"), rows)
+    io.write_csv(paths["radial_graph_csv"], ("theta", "phi", "lambda"), rows.tolist())
 
     return EXIT_OK if report["pass"] else EXIT_VERIFY
 

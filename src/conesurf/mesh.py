@@ -44,6 +44,9 @@ _CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
 _SLOTS = ((0, 1, 2), (0, 2, 3))
 # (row, column) offsets of the 7-point stencil: a vertex and its neighbors
 _STENCIL = ((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1))
+# (row, column) offsets of a ring vertex's two-ring away from the center
+# and the boundary: the sums of two neighbor offsets, other than (0, 0)
+_TWO_RING = np.array(sorted({(a + c, b + d) for a, b in _STENCIL for c, d in _STENCIL} - {(0, 0)}))
 
 
 class LinearMap:
@@ -307,17 +310,27 @@ class DiskMesh:
         w = self.lumped_mass.reshape((-1,) + (1,) * (tri_values.ndim - 1))
         return (self.load_op @ tri_values) / w
 
-    def _vertex_id(self, r, j):
-        """Vertex index of row r, column j of the polar block."""
-        return 0 if r == 0 else 1 + (r - 1) * self.n_theta + j % self.n_theta
+    def _two_ring(self, r):
+        """Sorted vertices other than vertex 0 of row r that are at most
+        two triangle edges from it, by index arithmetic on the polar
+        layout: the center's two-ring is rings 1 and 2; a ring vertex's is
+        the offsets _TWO_RING that stay on the disk, row 0 being the
+        center, plus all of ring 1 from ring 1 through the center."""
+        n_theta = self.n_theta
+        if r == 0:
+            return np.arange(1, 1 + 2 * n_theta)
+        rows = r + _TWO_RING[:, 0]
+        ok = (rows >= 0) & (rows <= self.n_r)
+        rows = rows[ok]
+        idx = np.where(rows == 0, 0, 1 + (rows - 1) * n_theta + _TWO_RING[ok, 1] % n_theta)
+        if r == 1:
+            idx = np.concatenate([idx, 1 + np.arange(n_theta)])
+        idx = np.unique(idx)
+        return idx[idx != self._head(r)]
 
-    def _neighbors(self, v):
-        """Vertices sharing a triangle edge with vertex v."""
-        if v == 0:
-            return {self._vertex_id(1, j) for j in range(self.n_theta)}
-        r, j = divmod(v - 1, self.n_theta)
-        return {self._vertex_id(r + 1 + dr, j + dj) for dr, dj in _STENCIL[1:]
-                if 0 <= r + 1 + dr <= self.n_r}
+    def _head(self, r):
+        """Vertex 0 of row r of the polar block."""
+        return 0 if r == 0 else 1 + (r - 1) * self.n_theta
 
     def second_derivative_operator(self):
         """(3 nv x nv) operator D2 with (D2 @ f)[3 i + c] the c-th of
@@ -328,33 +341,54 @@ class DiskMesh:
         vertex j of a row has the two-ring of the row's vertex 0 rotated by
         phi_j = 2 pi j / n_theta, with columns shifted by j.  One fit per
         row gives H_loc = (f_uu, f_uv, f_vv) in the frame of vertex 0, and
-        vertex j's values are R(phi_j) H_loc R(phi_j)^T.  Rows 2..n_r keep
-        their fit weights as a 5 x 5 window of (row, column) offsets around
-        the vertex; the center and ring 1, whose two-rings span whole
-        rings, keep theirs as index lists."""
+        vertex j's values are R(phi_j) H_loc R(phi_j)^T.  The fit weights
+        are the rows 3..5 of the pseudo-inverse of the quadratic design
+        matrix of the two-ring (see _two_ring).  Rows 3..n_r-2 have the
+        same two-ring shape, the 18 offsets _TWO_RING, so their two-rings
+        are row 3's shifted by whole rings and their design matrices are
+        stacked and inverted by one batched pinv; rows 0, 1, 2, n_r-1 and
+        n_r, whose two-rings meet the center or the boundary, are fitted
+        one by one.  Rows 2..n_r keep their fit weights as a 5 x 5 window
+        of (row, column) offsets around the vertex; the center and ring 1,
+        whose two-rings span whole rings, keep theirs as index lists."""
         if self._d2 is None:
             n_r, n_theta = self.n_r, self.n_theta
             nv = len(self.vertices)
-            window = np.zeros((n_r - 1, 3, 5, 5))
-            lists = []
-            for r in range(n_r + 1):
-                head = self._vertex_id(r, 0)
-                near = self._neighbors(head)
-                idx = np.array(sorted(set().union(near, *map(self._neighbors, near)) - {head}))
-                d = self.vertices[idx] - self.vertices[head]
-                du, dv = d[:, 0], d[:, 1]
+
+            def fit(heads, idx):
+                """Fit weights (m, 3, k + 1) of the heads (m,) over their
+                two-rings idx (m, k), then the head itself."""
+                d = self.vertices[idx] - self.vertices[heads][:, None]
+                du, dv = d[..., 0], d[..., 1]
                 A = np.stack([np.ones_like(du), du, dv,
                               0.5 * du**2, du * dv, 0.5 * dv**2], axis=-1)
-                W = np.linalg.pinv(A)[3:]  # (3, k)
-                W = np.concatenate([W, -W.sum(axis=1, keepdims=True)], axis=1)
-                cols = np.append(idx, head)
+                W = np.linalg.pinv(A)[:, 3:]
+                return np.concatenate([W, -W.sum(axis=-1, keepdims=True)], axis=-1)
+
+            def offsets(r, cols):
+                """Window (row, column) indices of the vertices cols around
+                vertex 0 of row r >= 2; row 0 of the block is the center."""
+                row, col = np.divmod(cols - 1, n_theta)
+                return (np.where(cols == 0, 0, row + 1) - r + 2,
+                        np.where(cols == 0, 0, (col + 2) % n_theta - 2) + 2)
+
+            window = np.zeros((n_r - 1, 3, 5, 5))
+            # rows 3..n_r-2: row 3's two-ring shifted by whole rings
+            shared = np.arange(3, n_r - 1)
+            cols = np.append(self._two_ring(3), self._head(3))
+            moved = cols + (shared - 3)[:, None] * n_theta
+            W = fit(moved[:, -1], moved[:, :-1])
+            a, b = offsets(3, cols)
+            window[(shared - 2)[:, None], :, a, b] = W.transpose(0, 2, 1)
+            lists = []
+            for r in (0, 1, 2, n_r - 1, n_r):
+                cols = np.append(self._two_ring(r), self._head(r))
+                W = fit(cols[-1:], cols[None, :-1])[0]
                 if r < 2:
                     lists.append((W, cols))
-                    continue
-                row, col = np.divmod(cols - 1, n_theta)
-                row = np.where(cols == 0, 0, row + 1) - r
-                col = np.where(cols == 0, 0, (col + 2) % n_theta - 2)
-                window[r - 2, :, row + 2, col + 2] = W.T
+                else:
+                    a, b = offsets(r, cols)
+                    window[r - 2, :, a, b] = W.T
 
             ang = 2.0 * np.pi * np.arange(n_theta) / n_theta
             c, s = np.cos(ang), np.sin(ang)

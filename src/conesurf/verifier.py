@@ -148,7 +148,7 @@ def stability_eigenvalue(state, p):
     # the interior vertices are the prefix 0 .. n-1 of the mesh layout
     n, nv = len(mesh.interior), len(mesh.vertices)
     # mass matrix weighted by p (p interpolated as triangle averages)
-    Mp = mesh.weighted_mass(p[mesh.triangles].mean(axis=1))
+    Mp = mesh.weighted_mass(mesh.centroid_op @ p)
 
     def interior(apply):
         """The interior block [:n, :n] of a map of vertex vectors."""
@@ -411,13 +411,11 @@ def jacobian_identity_check(state):
     mesh = state.mesh
     X = state.X
     S = X / np.linalg.norm(X, axis=1)[:, None]
-    left_dir = np.cross(mesh.d_u @ S, mesh.d_v @ S)
-    s_c = S[mesh.triangles].mean(axis=1)
-    s_c = s_c / np.linalg.norm(s_c, axis=1)[:, None]
-    left = np.einsum("ij,ij->i", left_dir, s_c)
+    su, sv, s_c = (mesh.triangle_gather @ S).reshape(3, -1, 3)
+    s_c /= np.linalg.norm(s_c, axis=1)[:, None]
+    left = np.einsum("ij,ij->i", np.cross(su, sv), s_c)
 
-    xu, xv = state.triangle_derivatives()
-    x_c = X[mesh.triangles].mean(axis=1)
+    xu, xv, x_c = (mesh.triangle_gather @ X).reshape(3, -1, 3)
     right = np.einsum("ij,ij->i", np.cross(xu, xv), x_c) / np.linalg.norm(
         x_c, axis=1
     ) ** 3
@@ -441,22 +439,32 @@ EDGE_TOL = 1e-10
 # triangles with a widened rho_t above WIDE_CAP are tested at every grid
 # point.  The other caps are found by bucketing their centers in cubes at
 # least as wide as every such cap, and no narrower than MIN_CUBE, which
-# keeps the cube keys in int64.
+# keeps the cube keys in int64.  The centers and radii come from the three
+# corner gathers, with the radii taken from squared distances; each grid
+# point looks up the occupied cubes among its 27 neighbors once, and its
+# candidates are tested one coordinate at a time.
 CAP_MARGIN = 1e-2
 WIDE_CAP = 0.25
 MIN_CUBE = 1e-3
 _NEIGHBOR_CUBES = np.array(list(np.ndindex(3, 3, 3))) - 1
 
 
+def _caps(S, tris):
+    """Center (nt, 3) and widened chordal radius (nt,) of the cap about
+    each triangle of the unit-sphere mesh (S, tris)."""
+    corners = [S.take(tris[:, k], axis=0) for k in range(3)]
+    mean = (corners[0] + corners[1] + corners[2]) / 3.0
+    norm = np.sqrt(np.einsum("ij,ij->i", mean, mean))
+    c = mean / np.where(norm > 0.0, norm, 1.0)[:, None]
+    far = np.maximum.reduce([np.einsum("ij,ij->i", v - c, v - c) for v in corners])
+    return c, (1.0 + CAP_MARGIN) * np.sqrt(far)
+
+
 def _candidate_pairs(S, tris, grid):
     """(grid index, triangle index) pairs, sorted, that contain every pair
     in which the triangle can contain the grid direction, strictly or
     within EDGE_TOL."""
-    V = S[tris]
-    mean = V.mean(axis=1)
-    norm = np.linalg.norm(mean, axis=1)
-    c = mean / np.where(norm > 0.0, norm, 1.0)[:, None]
-    reach = (1.0 + CAP_MARGIN) * np.max(np.linalg.norm(V - c[:, None, :], axis=2), axis=1)
+    c, reach = _caps(S, tris)
     narrow = np.nonzero(reach <= WIDE_CAP)[0]
     wide = np.nonzero(reach > WIDE_CAP)[0]
 
@@ -470,18 +478,28 @@ def _candidate_pairs(S, tris, grid):
 
     keys = key(np.floor(c[narrow] / h).astype(int))
     order = np.argsort(keys)
-    keys = keys[order]
+    keys, narrow = keys[order], narrow[order]
+    # the occupied cubes, each with the run of narrow caps (in key order)
+    # centered in it; the last entry is a key above every cube's
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    cubes = np.append(keys[start], (2 * span) ** 3)
+    size = np.diff(start, append=len(keys))
     probe = key(np.floor(grid / h).astype(int)[:, None, :] + _NEIGHBOR_CUBES).ravel()
-    lo = np.searchsorted(keys, probe, "left")
-    count = np.searchsorted(keys, probe, "right") - lo
-    q = np.repeat(np.arange(len(probe)), count)
-    gi = q // len(_NEIGHBOR_CUBES)
-    ti = narrow[order[lo[q] + np.arange(len(q)) - (np.cumsum(count) - count)[q]]]
-    keep = np.linalg.norm(grid[gi] - c[ti], axis=1) <= reach[ti]
+    at = np.searchsorted(cubes, probe)
+    hit = np.nonzero(cubes[at] == probe)[0]
+    at = at[hit]
+    count = size[at]
+    gi = np.repeat(hit // len(_NEIGHBOR_CUBES), count)
+    # each candidate's place in key order: its run's start plus its rank in the run
+    j = np.arange(len(gi)) + np.repeat(start[at] - (np.cumsum(count) - count), count)
+    ti = narrow[j]
+    dist2 = sum((g.take(gi) - x.take(ti)) ** 2
+                for g, x in zip(np.ascontiguousarray(grid.T), np.ascontiguousarray(c.T)))
+    keep = dist2 <= reach.take(ti) ** 2
 
     gi = np.concatenate([gi[keep], np.repeat(np.arange(len(grid)), len(wide))])
     ti = np.concatenate([ti[keep], np.tile(wide, len(grid))])
-    order = np.lexsort((ti, gi))
+    order = np.argsort(gi * len(tris) + ti)
     return gi[order], ti[order]
 
 
@@ -500,10 +518,10 @@ def _locate(S, tris, grid):
 
     gi, ti = _candidate_pairs(S, tris, grid)
     V = S[tris[ti]]  # (pairs, 3 vertices, 3)
-    d = np.einsum("pkj,pj->pk", V, grid[gi])
+    p = grid[gi]
+    d = np.einsum("pkj,pj->pk", V, p)
     front = d > 1e-9
-    G = np.where(front[..., None],
-                 V / np.where(front, d, 1.0)[..., None] - grid[gi][:, None, :], np.nan)
+    G = np.where(front[..., None], V / np.where(front, d, 1.0)[..., None] - p[:, None, :], np.nan)
     ax, bx, cx = np.einsum("pkj,pj->kp", G, t1[gi])
     ay, by, cy = np.einsum("pkj,pj->kp", G, t2[gi])
 

@@ -99,6 +99,71 @@ class TestReadObj:
         with pytest.raises(IoError):
             io.read_obj(tmp_path / "absent.obj")
 
+    def test_leading_whitespace(self, tmp_path):
+        path = tmp_path / "indented.obj"
+        path.write_text("  v 0 0 1\n\tv 1 0 1\n \t v 0 1 1.5\n\t f 1 2 3\n   f 3 2 1\n")
+        X, tris = assert_same_as_reference(path)
+        np.testing.assert_array_equal(X, [[0, 0, 1], [1, 0, 1], [0, 1, 1.5]])
+        np.testing.assert_array_equal(tris, [[0, 1, 2], [2, 1, 0]])
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_line_endings(self, tmp_path, newline):
+        mesh = cs.build_disk_mesh(4, 8)
+        u, v = mesh.vertices[:, 0], mesh.vertices[:, 1]
+        X = np.column_stack([u, v, 1.0 + u * v / 3.0])
+        io.write_obj(tmp_path / "lf.obj", X, mesh.triangles)
+        path = tmp_path / "other.obj"
+        path.write_bytes((tmp_path / "lf.obj").read_bytes().replace(b"\n", newline))
+        X_read, tris = assert_same_as_reference(path)
+        np.testing.assert_array_equal(X_read, X)
+        np.testing.assert_array_equal(tris, mesh.triangles)
+
+    def test_record_followed_by_comment(self, tmp_path):
+        path = tmp_path / "commented.obj"
+        path.write_text("v 0 0 1 # the first vertex\nv 1 0 1 #\nv 0 1 1\t# tab\n"
+                        "f 1 2 3 # a face\nf 1/4 3/5 2/6 # slashed, then a comment\n")
+        X, tris = assert_same_as_reference(path)
+        np.testing.assert_array_equal(X, [[0, 0, 1], [1, 0, 1], [0, 1, 1]])
+        np.testing.assert_array_equal(tris, [[0, 1, 2], [0, 2, 1]])
+
+    @pytest.mark.parametrize("record,message", [
+        ("v 0.5 0.25", "short 'v' record"),
+        ("f 7 8", "short 'f' record"),
+        ("v 0.5 x 0.25", "malformed 'v' record"),
+        ("v 0.5 1/2 0.25", "malformed 'v' record"),
+        ("f 7 8 nine", "malformed 'f' record"),
+        ("f 7 8 9.0", "malformed 'f' record"),
+        ("f 7 /8 9", "malformed 'f' record"),
+        ("v 0.5 inf 0.25", "non-finite 'v' record"),
+    ])
+    @pytest.mark.parametrize("place", ["first", "middle", "last"])
+    def test_bad_record_in_a_written_surface_names_its_line(self, tmp_path, record, message,
+                                                            place):
+        # the (12, 24) surface has 289 'v' lines, then 552 'f' lines; the
+        # bad record replaces the first, a middle or the last of its kind
+        mesh = cs.build_disk_mesh(12, 24)
+        u, v = mesh.vertices[:, 0], mesh.vertices[:, 1]
+        io.write_obj(tmp_path / "s.obj", np.column_stack([u, v, 2.0 + u * v]), mesh.triangles)
+        lines = (tmp_path / "s.obj").read_text().splitlines(keepends=True)
+        block = {"v": (1, 289), "f": (290, 841)}[record[0]]
+        line = {"first": block[0], "middle": (block[0] + block[1]) // 2, "last": block[1]}[place]
+        lines[line - 1] = record + "\n"
+        path = tmp_path / "bad.obj"
+        path.write_text("".join(lines))
+        with pytest.raises(IoError, match=rf"bad\.obj:{line}: {message}$"):
+            io.read_obj(path)
+
+    def test_first_bad_record_is_named(self, tmp_path):
+        text = "v 0 0 1\nv 1 0 x\nv 0 1 y\nv 1 1 1\nf 1 2 3\nf 2 3\n"
+        path = tmp_path / "bad.obj"
+        path.write_text(text)
+        # a short record is reported before a malformed one
+        with pytest.raises(IoError, match=r"bad\.obj:6: short 'f' record"):
+            io.read_obj(path)
+        path.write_text(text.replace("f 2 3\n", "f 2 3 4\n"))
+        with pytest.raises(IoError, match=r"bad\.obj:2: malformed 'v' record"):
+            io.read_obj(path)
+
 
 class TestWriteObj:
     def assert_same_bytes(self, tmp_path, X, tris):

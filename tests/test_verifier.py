@@ -364,6 +364,26 @@ class TestDegreeAndJacobian:
     def test_endtoend_jacobian_identity(self, endtoend_state):
         assert jacobian_identity_check(endtoend_state) < 5e-3
 
+    @pytest.mark.parametrize("name", ["flat_disk_state", "endtoend_state"])
+    def test_jacobian_identity_matches_fancy_index_formula(self, name, request):
+        state = request.getfixturevalue(name)
+        want = reference_jacobian_identity(state)
+        assert abs(jacobian_identity_check(state) - want) <= 1e-12 * want
+
+
+def reference_jacobian_identity(state):
+    """jacobian_identity_check from the derivative operators and the
+    vertex-mean centroids of fancy-indexed corners."""
+    mesh, X = state.mesh, state.X
+    S = X / np.linalg.norm(X, axis=1)[:, None]
+    s_c = S[mesh.triangles].mean(axis=1)
+    s_c = s_c / np.linalg.norm(s_c, axis=1)[:, None]
+    left = np.einsum("ij,ij->i", np.cross(mesh.d_u @ S, mesh.d_v @ S), s_c)
+    x_c = X[mesh.triangles].mean(axis=1)
+    right = (np.einsum("ij,ij->i", np.cross(mesh.d_u @ X, mesh.d_v @ X), x_c)
+             / np.linalg.norm(x_c, axis=1) ** 3)
+    return float(np.max(np.abs(left - right)) / np.max(np.abs(right)))
+
 
 class TestRadialGraph:
     def test_domain_grid_inside(self):
@@ -495,6 +515,53 @@ def sphere_state():
         return 3.0 * p / np.linalg.norm(p)
 
     return synthetic_state(cs.build_disk_mesh(16, 32), fn)
+
+
+def reference_caps(S, tris):
+    """Cap centers and widened radii from the (nt, 3, 3) corner array, its
+    mean and the norms of its rows."""
+    V = S[tris]
+    mean = V.mean(axis=1)
+    norm = np.linalg.norm(mean, axis=1)
+    c = mean / np.where(norm > 0.0, norm, 1.0)[:, None]
+    return c, (1.0 + verifier.CAP_MARGIN) * np.max(np.linalg.norm(V - c[:, None, :], axis=2), axis=1)
+
+
+def unit_states():
+    """(S, triangles, grid) on the unit sphere for a flat disk, a sphere
+    patch, and a coarse wide cap with caps wider than WIDE_CAP."""
+    flat = synthetic_state(cs.build_disk_mesh(16, 32), lambda u, v: np.array([u, v, 2.0]))
+    wide = synthetic_state(cs.build_disk_mesh(6, 12), lambda u, v: np.array([2 * u, 2 * v, 1.0]))
+    out = []
+    for st, alpha in ((flat, np.arctan2(1.0, 2.0)), (sphere_state(), np.arctan2(1.0, 2.0)),
+                      (wide, np.arctan(2.0))):
+        S = st.X / np.linalg.norm(st.X, axis=1)[:, None]
+        out.append((S, st.mesh.triangles, domain_grid(cs.SphericalBoundary.cap(alpha), 300)))
+    return out
+
+
+class TestCandidateCaps:
+    @pytest.mark.parametrize("case", range(3), ids=["flat", "sphere", "wide"])
+    def test_caps_match_mean_and_norm(self, case):
+        S, tris, _ = unit_states()[case]
+        c, reach = verifier._caps(S, tris)
+        c_ref, reach_ref = reference_caps(S, tris)
+        np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(reach, reach_ref, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("case", range(3), ids=["flat", "sphere", "wide"])
+    def test_pairs_are_every_cap_within_reach(self, case):
+        # the cube lookup keeps exactly the narrow caps within reach, and
+        # every wide cap, sorted by (grid point, triangle)
+        S, tris, grid = unit_states()[case]
+        c, reach = verifier._caps(S, tris)
+        d2 = ((grid[:, None, :] - c[None]) ** 2).sum(axis=2)
+        wide = reach > verifier.WIDE_CAP
+        gi, ti = np.nonzero((d2 <= reach**2) | wide)
+        got = verifier._candidate_pairs(S, tris, grid)
+        np.testing.assert_array_equal(got[0], gi)
+        np.testing.assert_array_equal(got[1], ti)
+        assert case != 2 or wide.any()
 
 
 class TestRadialGraphAgainstBruteForce:
