@@ -36,7 +36,6 @@ print("energy F                ", F, " (pi =", np.pi, ")")
 
 # the barrier phi = X.e3 - |X| cos(beta) stays positive, confirming the
 # disk sits strictly inside the cone of half-angle pi/3
-enc = cs.check_enclosure(state, beta,
-                         cs.density_field(state, cs.CurvatureField("zero"), cs.gauss_map(state)))
+enc = cs.check_enclosure(cs.surface_geometry(state, cs.CurvatureField("zero")), beta)
 print("min cone barrier        ", enc["min_phi_closed"])
 print("expected (closed form)  ", 2.0 - np.sqrt(5.0) / 2.0)

@@ -38,7 +38,6 @@ state = cs.solve(mesh, curve, field, cs.SolveConfig(max_iters=400))
 print("cap bottom z            ", state.X[0, 2], " (sqrt(3) =", np.sqrt(3.0), ")")
 
 # Gauss curvature recovered from the second fundamental form: 1/R^2 = 1/4
-normals = cs.gauss_map(state)
-density = cs.density_field(state, field, normals)
+geometry = cs.surface_geometry(state, field)
 inner = np.linalg.norm(mesh.vertices, axis=1) < 0.8
-print("mean interior K         ", float(np.mean(density.K[inner])), " (exact 0.25)")
+print("mean interior K         ", float(np.mean(geometry.K[inner])), " (exact 0.25)")

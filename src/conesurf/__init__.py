@@ -41,13 +41,12 @@ from .solver import (
 from .verifier import (
     check_enclosure,
     check_radial_normal,
-    density_field,
     domain_grid,
     extract_radial_graph,
-    gauss_map,
     jacobian_identity_check,
     projection_degree,
     stability_eigenvalue,
+    surface_geometry,
     verify_surface,
 )
 

@@ -2,11 +2,15 @@
 branch points, density function and stability, enclosure barriers, radial
 normal positivity, projection degree, and radial-graph extraction.
 
-`verify_surface` evaluates H(X), grad H(X) and the conformal factor E at
-the vertices once, in `density_field`, and every check reads them from the
-returned DensityField.  The report is one table: each row is a check's
-name, value, comparison and tolerance, and its pass flag is the comparison
-applied to the value and the tolerance.
+`verify_surface` builds one `SurfaceGeometry` record per surface, in
+`surface_geometry`, and every check is a function of it.  The record
+takes X_u, X_v and the centroid values of X from one triangle gather,
+|X| and S = X/|X| from one pass, and evaluates H(X) and grad H(X) once;
+it also holds the vertex conformal factor E, the Gauss map and the
+density.  Building it is the step that raises on the geometry of X.  The
+report is one table: each row is a check's name, value, comparison and
+tolerance, and its pass flag is the comparison applied to the value and
+the tolerance.
 
 The stability eigenvalue mu_1 is computed by a one-vector LOBPCG
 (Knyazev 2001) preconditioned with the mesh's polar solve of the interior
@@ -28,6 +32,7 @@ from .errors import (
     Uncovered,
 )
 from .geometry import stereographic_south, winding_degree
+from .solver import SurfaceState
 
 # A triangle with E <= BRANCH_THRESHOLD * median(E) is a candidate branch
 # point; below 1, at least half of the triangles keep their normal.
@@ -48,23 +53,61 @@ EIGEN_MAXITER = 100
 
 
 # ---------------------------------------------------------------------------
-# Gauss map and branch detection
+# The geometry record
 
 
 @dataclass
-class NormalField:
-    tri_normals: np.ndarray      # (nt, 3), rows of flagged triangles are nan
-    vertex_normals: np.ndarray   # (nv, 3) unit where defined
-    vertex_defined: np.ndarray   # (nv,) bool
+class SurfaceGeometry:
+    """What the checks read of one surface, computed once by
+    `surface_geometry`.  S's triangle gather is not kept: only
+    `jacobian_identity_check` reads it."""
+    state: SurfaceState         # mesh, X, boundary_theta
+    r: np.ndarray               # |X| per vertex
+    S: np.ndarray               # X / |X| per vertex, (nv, 3)
+    xu: np.ndarray              # X_u per triangle, (nt, 3)
+    xv: np.ndarray              # X_v per triangle, (nt, 3)
+    x_c: np.ndarray             # X at the triangle centroids, (nt, 3)
+    E: np.ndarray               # conformal factor per vertex
+    N: np.ndarray               # unit normal per vertex, 0 where undefined
+    defined: np.ndarray         # (nv,) bool: N is defined
     branch_triangles: np.ndarray  # indices of flagged triangles
+    H: np.ndarray               # H(X) per vertex
+    grad_H: np.ndarray          # grad H(X) per vertex, (nv, 3)
+    K: np.ndarray               # Gaussian curvature per vertex, 0 where N is undefined
+    p: np.ndarray               # density per vertex, 0 where N is undefined
 
 
-def gauss_map(state):
-    """Unit normal (X_u ^ X_v)/|X_u ^ X_v| per triangle; triangles with
+def surface_geometry(state, field):
+    """The geometry record of a surface in the field.  Raises OriginHit
+    when |X| reaches 1e-10 at a vertex, before anything is evaluated at
+    X; E is the area-weighted vertex average of (|X_u|^2 + |X_v|^2)/2."""
+    mesh, X = state.mesh, state.X
+    r = np.linalg.norm(X, axis=1)
+    if np.min(r) < 1e-10:
+        raise OriginHit(f"|X| reaches {np.min(r):.3e}")
+    xu, xv, x_c = (mesh.triangle_gather @ X).reshape(3, -1, 3)
+    E = mesh.vertex_average(
+        0.5 * (np.einsum("ij,ij->i", xu, xu) + np.einsum("ij,ij->i", xv, xv)))
+    _, N, defined, branch_triangles = gauss_map(mesh, xu, xv)
+    H, grad_H = field.eval(X), field.grad(X)
+    p, K = density_field(state, E, N, defined, H, grad_H)
+    return SurfaceGeometry(
+        state=state, r=r, S=X / r[:, None], xu=xu, xv=xv, x_c=x_c, E=E, N=N,
+        defined=defined, branch_triangles=branch_triangles, H=H, grad_H=grad_H, K=K, p=p,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Gauss map and branch detection
+
+
+def gauss_map(mesh, xu, xv):
+    """Unit normal (X_u ^ X_v)/|X_u ^ X_v| per triangle, from the triangle
+    derivatives, and its area-weighted vertex average; triangles with
     E <= BRANCH_THRESHOLD * median(E) are flagged as candidate branch
-    points."""
-    mesh = state.mesh
-    xu, xv = state.triangle_derivatives()
+    points.  Returns (triangle normals, nan where flagged; unit vertex
+    normals, 0 where no adjacent triangle keeps its normal; the (nv,) bool
+    mask of the vertices that have one; the flagged triangles)."""
     w = np.cross(xu, xv)
     e = np.einsum("ij,ij->i", xu, xu)
     defined = e > BRANCH_THRESHOLD * np.median(e)
@@ -76,61 +119,34 @@ def gauss_map(state):
     acc = mesh.load_op @ np.where(ok[:, None], n, 0.0)
     wsum = mesh.load_op @ ok.astype(float)
     vdef = wsum > 0
-    vn = np.full((len(mesh.vertices), 3), np.nan)
+    vn = np.zeros((len(mesh.vertices), 3))
     vn[vdef] = acc[vdef] / wsum[vdef, None]
     lens = np.linalg.norm(vn[vdef], axis=1)
     vn[vdef] = vn[vdef] / lens[:, None]
-    return NormalField(
-        tri_normals=n, vertex_normals=vn,
-        vertex_defined=vdef, branch_triangles=np.nonzero(~defined)[0],
-    )
+    return n, vn, vdef, np.nonzero(~defined)[0]
 
 
 # ---------------------------------------------------------------------------
 # Density function and stability
 
 
-@dataclass
-class DensityField:
-    p: np.ndarray          # per-vertex density, 0 where undefined
-    E: np.ndarray          # per-vertex conformal factor
-    K: np.ndarray          # per-vertex Gaussian curvature
-    H: np.ndarray          # H(X) per vertex
-    grad_H: np.ndarray     # grad H(X) per vertex, (nv, 3)
-
-
-def vertex_conformal_factor(state):
-    """Per-vertex E, averaging (|X_u|^2 + |X_v|^2)/2 over adjacent triangles."""
-    xu, xv = state.triangle_derivatives()
-    e = 0.5 * (np.einsum("ij,ij->i", xu, xu) + np.einsum("ij,ij->i", xv, xv))
-    return state.mesh.vertex_average(e)
-
-
-def density_field(state, field, normals):
+def density_field(state, E, N, defined, H, grad_H):
     """Density p = E (2 H^2 - K - grad H . N) per vertex, with K from the
     second fundamental form (e g - f^2)/E^2 using discrete second
-    derivatives of X."""
-    mesh = state.mesh
-    E = vertex_conformal_factor(state)
-    second = mesh.second_derivatives(state.X)  # (nv, 3, 3): uu, uv, vv
-    N = normals.vertex_normals
-    defined = normals.vertex_defined
-
-    ee = np.einsum("ij,ij->i", second[:, 0, :], np.nan_to_num(N))
-    ff = np.einsum("ij,ij->i", second[:, 1, :], np.nan_to_num(N))
-    gg = np.einsum("ij,ij->i", second[:, 2, :], np.nan_to_num(N))
+    derivatives of X; both are 0 where N is undefined.  Returns (p, K)."""
+    second = state.mesh.second_derivatives(state.X)  # (nv, 3, 3): uu, uv, vv
+    ee = np.einsum("ij,ij->i", second[:, 0, :], N)
+    ff = np.einsum("ij,ij->i", second[:, 1, :], N)
+    gg = np.einsum("ij,ij->i", second[:, 2, :], N)
     K = np.zeros(len(E))
     K[defined] = (ee[defined] * gg[defined] - ff[defined] ** 2) / E[defined] ** 2
 
-    h = field.eval(state.X)
-    gh = field.grad(state.X)
-    ghn = np.einsum("ij,ij->i", gh, np.nan_to_num(N))
-
+    ghn = np.einsum("ij,ij->i", grad_H, N)
     p = np.zeros(len(E))
     p[defined] = E[defined] * (
-        2.0 * h[defined] ** 2 - K[defined] - ghn[defined]
+        2.0 * H[defined] ** 2 - K[defined] - ghn[defined]
     )
-    return DensityField(p=p, E=E, K=K, H=h, grad_H=gh)
+    return p, K
 
 
 def stability_eigenvalue(state, p):
@@ -261,24 +277,20 @@ def _weak_rms_residual(mesh, values, neg_lap_rhs, deep):
     return float(np.sqrt(np.sum(w * r[deep] ** 2) / np.sum(w)))
 
 
-def check_enclosure(state, beta, density):
+def check_enclosure(geometry, beta):
     """Barrier phi = X.e3 - |X| cos(beta): minima on the closed disk, the
     interior and the boundary ring, and the discrete residual of the
-    superharmonicity identity for -Delta phi (with the density's E and H)
+    superharmonicity identity for -Delta phi (with the record's E and H)
     at the vertices at least two rings away from the boundary."""
-    X = state.X
-    r = np.linalg.norm(X, axis=1)
-    if np.min(r) < 1e-10:
-        raise OriginHit(f"|X| reaches {np.min(r):.3e}")
+    mesh, X, r = geometry.state.mesh, geometry.state.X, geometry.r
     cosb = np.cos(beta)
     phi = X[:, 2] - r * cosb
 
-    mesh = state.mesh
-    xu = mesh.vertex_average(mesh.d_u @ X)
-    xv = mesh.vertex_average(mesh.d_v @ X)
-    E, h = density.E, density.H
+    xu = mesh.vertex_average(geometry.xu)
+    xv = mesh.vertex_average(geometry.xv)
+    E, h = geometry.E, geometry.H
     w = np.cross(xu, xv)
-    px = X / r[:, None]
+    px = geometry.S
     pxu = _safe_unit(xu)
     pxv = _safe_unit(xv)
     rhs = (
@@ -306,13 +318,12 @@ def _safe_unit(v):
     return v / n[:, None]
 
 
-def check_cone_condition_functions(state, axis_map, beta):
+def check_cone_condition_functions(geometry, axis_map, beta):
     """Per boundary vertex of N_AXES equally spaced ones: interior minimum
     of the cone barrier phi_p for the axis at that point (expected > 0) and
     the outward normal derivative of phi_p there (expected < 0)."""
-    mesh = state.mesh
-    X = state.X
-    r = np.linalg.norm(X, axis=1)
+    state, r = geometry.state, geometry.r
+    mesh, X = state.mesh, state.X
     cosb = np.cos(beta)
     n_b = len(state.boundary_theta)
     sample_js = np.linspace(0, n_b, N_AXES, endpoint=False).astype(int)
@@ -333,34 +344,23 @@ def check_cone_condition_functions(state, axis_map, beta):
 # Radial normal positivity
 
 
-def check_radial_normal(state, density, normals):
-    """f = N.X: minimum over the closed disk, minimum of |f| on the
-    boundary, and the residual of Delta f + 2 p f = -2E(grad H . X + H)."""
-    mesh = state.mesh
-    X = state.X
-    N = np.nan_to_num(normals.vertex_normals)
-    f = np.einsum("ij,ij->i", N, X)
+def check_radial_normal(geometry):
+    """f = N.X: minimum over the vertices where N is defined, minimum of
+    |f| on the boundary, and the residual of
+    Delta f + 2 p f = -2E(grad H . X + H)."""
+    mesh, X = geometry.state.mesh, geometry.state.X
+    f = np.einsum("ij,ij->i", geometry.N, X)
 
-    rhs = -2.0 * density.E * (np.einsum("ij,ij->i", density.grad_H, X) + density.H)
+    rhs = -2.0 * geometry.E * (np.einsum("ij,ij->i", geometry.grad_H, X) + geometry.H)
     # Delta f + 2 p f = rhs  =>  -Delta f = 2 p f - rhs; f involves the
     # discrete Gauss map, so measure against smooth test functions
-    res = _tested_weak_residual(mesh, f, 2.0 * density.p * f - rhs)
+    res = _tested_weak_residual(mesh, f, 2.0 * geometry.p * f - rhs)
 
     return {
-        "min_NdotX": float(np.min(f[normals.vertex_defined])),
+        "min_NdotX": float(np.min(f[geometry.defined])),
         "min_abs_NdotX_boundary": float(np.min(np.abs(f[mesh.boundary]))),
         "pde_residual": res,
     }
-
-
-def normal_pde_residual(state, density, normals):
-    """Weak residual of Delta N + 2 p N = -2 E grad H(X).
-
-    Measured with the tested weak pairing; see _tested_weak_residual."""
-    mesh = state.mesh
-    N = np.nan_to_num(normals.vertex_normals)
-    neg_lap_rhs = 2.0 * density.p[:, None] * N + 2.0 * density.E[:, None] * density.grad_H
-    return _tested_weak_residual(mesh, N, neg_lap_rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +385,10 @@ def _rotation_to_north(v):
     return np.eye(3) + s * Kx + (1.0 - c) * (Kx @ Kx)
 
 
-def projection_degree(state):
+def projection_degree(geometry):
     """Winding degree of the stereographic image of the projected boundary
     ring around N_PROBE interior probe points; all probes must agree."""
-    mesh = state.mesh
-    X = state.X
-    S = X / np.linalg.norm(X, axis=1)[:, None]
+    mesh, S = geometry.state.mesh, geometry.S
     centroid = S[mesh.boundary].mean(axis=0)
     R = _rotation_to_north(centroid)
     S_rot = S @ R.T
@@ -405,17 +403,14 @@ def projection_degree(state):
     return degs[0]
 
 
-def jacobian_identity_check(state):
+def jacobian_identity_check(geometry):
     """Max discrepancy (relative to the field scale) between the affine
     model of (PX)_u ^ (PX)_v . PX and (X_u ^ X_v . X)/|X|^3 per triangle."""
-    mesh = state.mesh
-    X = state.X
-    S = X / np.linalg.norm(X, axis=1)[:, None]
-    su, sv, s_c = (mesh.triangle_gather @ S).reshape(3, -1, 3)
+    su, sv, s_c = (geometry.state.mesh.triangle_gather @ geometry.S).reshape(3, -1, 3)
     s_c /= np.linalg.norm(s_c, axis=1)[:, None]
     left = np.einsum("ij,ij->i", np.cross(su, sv), s_c)
 
-    xu, xv, x_c = (mesh.triangle_gather @ X).reshape(3, -1, 3)
+    xu, xv, x_c = geometry.xu, geometry.xv, geometry.x_c
     right = np.einsum("ij,ij->i", np.cross(xu, xv), x_c) / np.linalg.norm(
         x_c, axis=1
     ) ** 3
@@ -580,26 +575,26 @@ def verify_surface(state, field, beta, axis_map=None, boundary=None, grid_size=5
     and `skipped`, plus `beta_convexity_margin` when given an `axis_map`.
     Each check is {name, value, tolerance, pass} with an optional
     `detail`.  `axis_map` enables the per-axis cone barriers; `boundary`
-    enables radial-graph extraction over the spherical domain.  A numpy
+    enables radial-graph extraction over the spherical domain.  A vertex
+    at the origin raises OriginHit before any check runs, and a numpy
     overflow, invalid value or division by zero in any check raises
     FloatingPointFailure instead of leaking a RuntimeWarning."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            normals = gauss_map(state)
-            density = density_field(state, field, normals)
-            mu1 = stability_eigenvalue(state, density.p)
-            enc = check_enclosure(state, beta, density)
-            rad = check_radial_normal(state, density, normals)
+            geometry = surface_geometry(state, field)
+            mu1 = stability_eigenvalue(state, geometry.p)
+            enc = check_enclosure(geometry, beta)
+            rad = check_radial_normal(geometry)
             # (name, value, comparison, tolerance, detail); a check passes when
             # comparison(value, tolerance) holds
             rows = [
                 # a flagged triangle is a candidate branch point: none may remain
-                ("branch_point_count", float(len(normals.branch_triangles)), eq, 0.0,
-                 {"triangles": normals.branch_triangles.tolist()}),
+                ("branch_point_count", float(len(geometry.branch_triangles)), eq, 0.0,
+                 {"triangles": geometry.branch_triangles.tolist()}),
                 # mu_1 >= 0 up to the eigen-solve's discretization error, taken
                 # relative to the surface's scale median(E)
                 ("stability_eigenvalue", mu1, ge,
-                 -STABILITY_TOL * float(np.median(density.E)), None),
+                 -STABILITY_TOL * float(np.median(geometry.E)), None),
                 # the open cone: strictly positive barrier off the boundary
                 ("enclosure_interior_margin", enc["min_phi_interior"], gt, 0.0, enc),
                 # phi may vanish on the boundary ring, where the curve may touch the
@@ -610,7 +605,7 @@ def verify_surface(state, field, beta, axis_map=None, boundary=None, grid_size=5
             ]
             skipped = []
             if axis_map is not None:
-                cc = check_cone_condition_functions(state, axis_map, beta)
+                cc = check_cone_condition_functions(geometry, axis_map, beta)
                 rows += [
                     # the paper's strict inequalities, compared exactly
                     ("cone_condition_interior", cc["min_interior_phi_p"], gt, 0.0, None),
@@ -621,9 +616,9 @@ def verify_surface(state, field, beta, axis_map=None, boundary=None, grid_size=5
                 skipped.append("cone_condition_functions (no axis map)")
             rows += [
                 # an integer winding number, exact
-                ("projection_degree", float(projection_degree(state)), eq, 1.0, None),
+                ("projection_degree", float(projection_degree(geometry)), eq, 1.0, None),
                 # a fixed bound, not calibrated against mesh refinement
-                ("jacobian_identity_discrepancy", jacobian_identity_check(state), lt, 0.5, None),
+                ("jacobian_identity_discrepancy", jacobian_identity_check(geometry), lt, 0.5, None),
             ]
             if boundary is not None:
                 # value: the grid directions with lambda > 0, or 0 when a direction

@@ -12,15 +12,14 @@ from conesurf.solver import SurfaceState
 from conesurf.verifier import (
     check_enclosure,
     check_radial_normal,
-    density_field,
     domain_grid,
     extract_radial_graph,
-    gauss_map,
-    normal_pde_residual,
     projection_degree,
     stability_eigenvalue,
+    surface_geometry,
 )
 from finite_differences import divergence_fd
+from normal_pde import normal_pde_residual
 
 BETA = np.pi / 3
 J01_SQUARED = 5.783185962946785
@@ -180,21 +179,20 @@ def test_criterion_7_end_to_end_invariants(endtoend):
         for n_t in (24, 48):
             mesh = cs.build_disk_mesh(n_t // 2, n_t)
             state = cs.solve(mesh, curve, field, cs.SolveConfig(max_iters=400))
-            normals = gauss_map(state)
-            density = density_field(state, field, normals)
-            rad = check_radial_normal(state, density, normals)
+            geometry = surface_geometry(state, field)
+            rad = check_radial_normal(geometry)
             residuals[n_t] = (
                 rad["pde_residual"],
-                normal_pde_residual(state, density, normals),
+                normal_pde_residual(geometry),
             )
             if n_t == 48:
-                assert len(normals.branch_triangles) == 0
-                enc = check_enclosure(state, BETA, density)
+                assert len(geometry.branch_triangles) == 0
+                enc = check_enclosure(geometry, BETA)
                 assert enc["min_phi_interior"] > 0
                 assert rad["min_NdotX"] > 0
-                mu1 = stability_eigenvalue(state, density.p)
-                assert mu1 >= -1e-3 * float(np.median(density.E))
-                assert projection_degree(state) == 1
+                mu1 = stability_eigenvalue(state, geometry.p)
+                assert mu1 >= -1e-3 * float(np.median(geometry.E))
+                assert projection_degree(geometry) == 1
                 grid = domain_grid(boundary, 512)
                 lam = extract_radial_graph(state, grid)
                 assert lam.shape == (512,)
@@ -215,7 +213,7 @@ def test_criterion_8_designed_failures(endtoend):
             mesh=mesh, X=state.X * np.array([1.0, -1.0, 1.0]),
             boundary_theta=state.boundary_theta,
         )
-        assert projection_degree(mirrored) == -1
+        assert projection_degree(surface_geometry(mirrored, field)) == -1
         report = cs.verify_surface(mirrored, field, BETA)
         assert not report["pass"]
 

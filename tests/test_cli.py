@@ -214,6 +214,22 @@ class TestSolveAndVerify:
         assert "surface.obj:6: non-finite 'v' record" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("field", [{"family": "zero"}, {"family": "constant", "h0": 0.1},
+                                       {"family": "radial", "c": 0.15}],
+                             ids=["zero", "constant", "radial"])
+    def test_verify_types_vertex_at_origin(self, tmp_path, capsys, field):
+        # a vertex at the origin is OriginHit (exit 4) in every field, the
+        # radial one included, whose H is not finite there
+        cli.main(["solve", "--config", write_config(tmp_path, solve_config()),
+                  "--out", str(tmp_path)])
+        X, tris = io.read_obj(tmp_path / "surface.obj")
+        X[0] = 0.0
+        io.write_obj(tmp_path / "surface.obj", X, tris)
+        cfg_path = write_config(tmp_path, solve_config(field=field))
+        assert cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path)]) == 4
+        assert "verification failure: |X| reaches 0.000e+00" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_verify_types_overflowing_vertex(self, tmp_path, capsys, recwarn):
         # a finite vertex whose triangle derivatives overflow: typed
         # verification failure (exit 4) and no numpy warning

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from normal_pde import normal_pde_residual
 from reference_operators import element_operators, interior_block
 from scipy.sparse.linalg import eigsh
 
@@ -23,22 +24,19 @@ from conesurf.verifier import (
     check_cone_condition_functions,
     check_enclosure,
     check_radial_normal,
-    density_field,
     domain_grid,
     extract_radial_graph,
     gauss_map,
     jacobian_identity_check,
     projection_degree,
     stability_eigenvalue,
-    vertex_conformal_factor,
+    surface_geometry,
 )
 
 J01_SQUARED = 5.783185962946785  # first Dirichlet Laplace eigenvalue of the unit disk
 BETA = np.pi / 3
-
-
-def density_of(state, field):
-    return density_field(state, field, gauss_map(state))
+# the field of the checks that read only the geometry of X
+ZERO = cs.CurvatureField("zero")
 
 
 def synthetic_state(mesh, fn):
@@ -70,28 +68,30 @@ def branch_state(power, n_r, n_theta):
 
 class TestGaussMap:
     def test_flat_disk_normals(self, flat_disk_state):
-        normals = gauss_map(flat_disk_state)
-        assert len(normals.branch_triangles) == 0
+        mesh, X = flat_disk_state.mesh, flat_disk_state.X
+        tri_normals, vertex_normals, _, branch_triangles = gauss_map(
+            mesh, mesh.d_u @ X, mesh.d_v @ X)
+        assert len(branch_triangles) == 0
         np.testing.assert_allclose(
-            normals.tri_normals, np.tile([0.0, 0.0, 1.0], (len(flat_disk_state.mesh.triangles), 1)),
+            tri_normals, np.tile([0.0, 0.0, 1.0], (len(mesh.triangles), 1)),
             atol=1e-10,
         )
         np.testing.assert_allclose(
-            normals.vertex_normals[:, 2], 1.0, atol=1e-10
+            vertex_normals[:, 2], 1.0, atol=1e-10
         )
 
     def test_cap_normals_are_radial_from_center(self, cap_state):
-        normals = gauss_map(cap_state)
+        N = surface_geometry(cap_state, ZERO).N
         c = np.array([0.0, 0.0, 2.0 + np.sqrt(3.0)])
         u = (cap_state.X - c) / np.linalg.norm(cap_state.X - c, axis=1)[:, None]
-        dots = np.einsum("ij,ij->i", normals.vertex_normals, u)
+        dots = np.einsum("ij,ij->i", N, u)
         assert np.max(np.abs(np.abs(dots) - 1.0)) < 5e-3
 
     @staticmethod
     def assert_flagged_near_origin(st):
-        normals = gauss_map(st)
-        assert len(normals.branch_triangles) > 0
-        flagged = (st.mesh.centroid_op @ st.mesh.vertices)[normals.branch_triangles]
+        branch_triangles = surface_geometry(st, ZERO).branch_triangles
+        assert len(branch_triangles) > 0
+        flagged = (st.mesh.centroid_op @ st.mesh.vertices)[branch_triangles]
         assert np.max(np.linalg.norm(flagged, axis=1)) < 0.2
 
     # E at the origin falls below BRANCH_THRESHOLD * median(E) from mesh
@@ -111,17 +111,15 @@ class TestGaussMap:
 
 class TestDensity:
     def test_flat_disk_density_vanishes(self, flat_disk_state):
-        normals = gauss_map(flat_disk_state)
-        d = density_field(flat_disk_state, cs.CurvatureField("zero"), normals)
+        d = surface_geometry(flat_disk_state, ZERO)
         np.testing.assert_allclose(d.p, 0.0, atol=1e-8)
         np.testing.assert_allclose(d.K, 0.0, atol=1e-8)
         np.testing.assert_allclose(d.E, 1.0, atol=1e-8)
 
     def test_cap_gauss_curvature_and_density(self, cap_state):
         # sphere of radius 2: K = 1/4 and p = E(2 H^2 - K) = E/4
-        normals = gauss_map(cap_state)
         field = cs.CurvatureField("constant", h0=0.5)
-        d = density_field(cap_state, field, normals)
+        d = surface_geometry(cap_state, field)
         r = np.linalg.norm(cap_state.mesh.vertices, axis=1)
         inner = r < 0.8
         np.testing.assert_allclose(d.K[inner], 0.25, rtol=0.1)
@@ -136,13 +134,11 @@ class TestDensity:
                 cs.build_disk_mesh(n_t // 2, n_t), curve, field,
                 cs.SolveConfig(max_iters=400),
             )
-            normals = gauss_map(st)
-            d = density_field(st, field, normals)
-            res.append(verifier.normal_pde_residual(st, d, normals))
+            res.append(normal_pde_residual(surface_geometry(st, field)))
         assert res[0] / res[1] > 1.5
 
     def test_vertex_conformal_factor_flat(self, flat_disk_state):
-        E = vertex_conformal_factor(flat_disk_state)
+        E = surface_geometry(flat_disk_state, ZERO).E
         np.testing.assert_allclose(E, 1.0, atol=1e-8)
 
 
@@ -172,8 +168,7 @@ class TestStability:
 
     def test_endtoend_state_is_stable(self, endtoend_state, endtoend_scenario):
         field = endtoend_scenario[4]
-        normals = gauss_map(endtoend_state)
-        d = density_field(endtoend_state, field, normals)
+        d = surface_geometry(endtoend_state, field)
         mu = stability_eigenvalue(endtoend_state, d.p)
         assert mu > 0
 
@@ -200,7 +195,7 @@ class TestStability:
 
     def test_matches_plain_shift_invert_endtoend(self, endtoend_state, endtoend_scenario):
         field = endtoend_scenario[4]
-        d = density_field(endtoend_state, field, gauss_map(endtoend_state))
+        d = surface_geometry(endtoend_state, field)
         mu = stability_eigenvalue(endtoend_state, d.p)
         assert mu == pytest.approx(self.plain_shift_invert(endtoend_state, d.p), rel=1e-12)
 
@@ -263,15 +258,14 @@ class TestStability:
 
     def test_repeated_calls_are_equal(self, endtoend_state, endtoend_scenario):
         field = endtoend_scenario[4]
-        d = density_field(endtoend_state, field, gauss_map(endtoend_state))
+        d = surface_geometry(endtoend_state, field)
         mus = [stability_eigenvalue(endtoend_state, d.p) for _ in range(5)]
         assert mus == [mus[0]] * 5
 
 
 class TestEnclosure:
     def test_flat_disk_barrier(self, flat_disk_state):
-        rep = check_enclosure(flat_disk_state, BETA,
-                              density_of(flat_disk_state, cs.CurvatureField("zero")))
+        rep = check_enclosure(surface_geometry(flat_disk_state, ZERO), BETA)
         # phi = 2 - |X|/2, minimized on the boundary where |X| = sqrt(5)
         assert rep["min_phi_closed"] == pytest.approx(2.0 - np.sqrt(5.0) / 2.0, abs=1e-9)
         assert rep["min_phi_interior"] > rep["min_phi_boundary"]
@@ -283,18 +277,17 @@ class TestEnclosure:
         res = []
         for n_t in (16, 32):
             st = cs.solve(cs.build_disk_mesh(n_t // 2, n_t), curve, zero)
-            res.append(check_enclosure(st, BETA, density_of(st, zero))["identity_residual"])
+            res.append(check_enclosure(surface_geometry(st, zero), BETA)["identity_residual"])
         assert res[1] < 0.6 * res[0]
 
     def test_vertex_at_origin_is_origin_hit(self, flat_disk_state):
-        density = density_of(flat_disk_state, cs.CurvatureField("zero"))
-        # vertex 0 is the center of the disk
+        # vertex 0 is the center of the disk; the record's build raises
         with pytest.raises(OriginHit, match=r"\|X\| reaches 0\.000e\+00"):
-            check_enclosure(with_rows(flat_disk_state, 0, 0.0), BETA, density)
+            surface_geometry(with_rows(flat_disk_state, 0, 0.0), ZERO)
 
     def test_endtoend_barrier_positive(self, endtoend_state, endtoend_scenario):
         beta, field = endtoend_scenario[0], endtoend_scenario[4]
-        rep = check_enclosure(endtoend_state, beta, density_of(endtoend_state, field))
+        rep = check_enclosure(surface_geometry(endtoend_state, field), beta)
         assert rep["min_phi_closed"] > 0
         assert rep["min_phi_interior"] > 0
 
@@ -303,17 +296,14 @@ class TestConeCondition:
     def test_flat_disk(self, flat_disk_state, flat_disk_curve):
         curve, beta = flat_disk_curve
         amap = cs.AxisMap(curve.boundary, beta, n_boundary=64)
-        rep = check_cone_condition_functions(flat_disk_state, amap, beta)
+        rep = check_cone_condition_functions(surface_geometry(flat_disk_state, ZERO), amap, beta)
         assert rep["min_interior_phi_p"] > 0
         assert rep["max_normal_derivative"] < 0
 
 
 class TestRadialNormal:
     def test_flat_disk(self, flat_disk_state):
-        field = cs.CurvatureField("zero")
-        normals = gauss_map(flat_disk_state)
-        d = density_field(flat_disk_state, field, normals)
-        rep = check_radial_normal(flat_disk_state, d, normals)
+        rep = check_radial_normal(surface_geometry(flat_disk_state, ZERO))
         # N = e3 so N . X = 2 identically
         assert rep["min_NdotX"] == pytest.approx(2.0, abs=1e-8)
         assert rep["min_abs_NdotX_boundary"] == pytest.approx(2.0, abs=1e-8)
@@ -321,15 +311,13 @@ class TestRadialNormal:
 
     def test_endtoend_positive(self, endtoend_state, endtoend_scenario):
         field = endtoend_scenario[4]
-        normals = gauss_map(endtoend_state)
-        d = density_field(endtoend_state, field, normals)
-        rep = check_radial_normal(endtoend_state, d, normals)
+        rep = check_radial_normal(surface_geometry(endtoend_state, field))
         assert rep["min_NdotX"] > 0
 
 
 class TestDegreeAndJacobian:
     def test_flat_disk_degree(self, flat_disk_state):
-        assert projection_degree(flat_disk_state) == 1
+        assert projection_degree(surface_geometry(flat_disk_state, ZERO)) == 1
 
     def test_mirrored_state_degree(self, flat_disk_state):
         mirrored = SurfaceState(
@@ -337,13 +325,13 @@ class TestDegreeAndJacobian:
             X=flat_disk_state.X * np.array([1.0, -1.0, 1.0]),
             boundary_theta=flat_disk_state.boundary_theta,
         )
-        assert projection_degree(mirrored) == -1
+        assert projection_degree(surface_geometry(mirrored, ZERO)) == -1
 
     def test_vertex_leaving_the_hemisphere_is_origin_hit(self, flat_disk_state):
         # the center moved to the south pole of the unit sphere
         moved = with_rows(flat_disk_state, 0, [0.0, 0.0, -1.0])
         with pytest.raises(OriginHit, match="open upper hemisphere"):
-            projection_degree(moved)
+            projection_degree(surface_geometry(moved, ZERO))
 
     def test_self_overlapping_loop_is_inconsistent(self, flat_disk_state):
         # the boundary ring on the limacon r = 1/2 + cos(theta) at height
@@ -355,20 +343,21 @@ class TestDegreeAndJacobian:
         r = 0.5 + np.cos(theta)
         limacon = np.stack([r * np.cos(theta), r * np.sin(theta), np.full_like(r, 2.0)], axis=1)
         with pytest.raises(InconsistentDegree, match="probe degrees disagree") as info:
-            projection_degree(with_rows(flat_disk_state, mesh.boundary, limacon))
+            projection_degree(surface_geometry(with_rows(flat_disk_state, mesh.boundary, limacon),
+                                               ZERO))
         assert set(re.findall(r"\d", str(info.value))) == {"1", "2"}
 
     def test_flat_disk_jacobian_identity(self, flat_disk_state):
-        assert jacobian_identity_check(flat_disk_state) < 5e-3
+        assert jacobian_identity_check(surface_geometry(flat_disk_state, ZERO)) < 5e-3
 
     def test_endtoend_jacobian_identity(self, endtoend_state):
-        assert jacobian_identity_check(endtoend_state) < 5e-3
+        assert jacobian_identity_check(surface_geometry(endtoend_state, ZERO)) < 5e-3
 
     @pytest.mark.parametrize("name", ["flat_disk_state", "endtoend_state"])
     def test_jacobian_identity_matches_fancy_index_formula(self, name, request):
         state = request.getfixturevalue(name)
         want = reference_jacobian_identity(state)
-        assert abs(jacobian_identity_check(state) - want) <= 1e-12 * want
+        assert abs(jacobian_identity_check(surface_geometry(state, ZERO)) - want) <= 1e-12 * want
 
 
 def reference_jacobian_identity(state):
@@ -669,7 +658,7 @@ class TestFullReport:
         assert degree and not degree[0]["pass"]
 
     def test_evaluates_the_field_once(self, endtoend_state, endtoend_scenario, monkeypatch):
-        # H(X) and grad H(X) at the vertices come from density_field alone
+        # H(X) and grad H(X) at the vertices come from surface_geometry alone
         beta, boundary, g, curve, field = endtoend_scenario
         calls = {"eval": 0, "grad": 0}
         for name, counted in [("eval", cs.CurvatureField.eval),
@@ -682,6 +671,27 @@ class TestFullReport:
         cs.verify_surface(endtoend_state, field, beta, axis_map=cs.AxisMap(boundary, beta),
                           boundary=boundary, grid_size=256)
         assert calls == {"eval": 1, "grad": 1}
+
+    def test_gathers_X_once(self, endtoend_state, endtoend_scenario, monkeypatch):
+        # one triangle gather of X for the record and one of S in the
+        # Jacobian identity, and no separate derivative gathers
+        beta, boundary, g, curve, field = endtoend_scenario
+        mesh = endtoend_state.mesh
+        calls = {"d_u": 0, "d_v": 0, "triangle_gather": 0}
+
+        class Counted:
+            def __init__(self, name):
+                self.name, self.op = name, getattr(mesh, name)
+
+            def __matmul__(self, x):
+                calls[self.name] += 1
+                return self.op @ x
+
+        for name in calls:
+            monkeypatch.setattr(mesh, name, Counted(name))
+        cs.verify_surface(endtoend_state, field, beta, axis_map=cs.AxisMap(boundary, beta),
+                          boundary=boundary, grid_size=256)
+        assert calls == {"d_u": 0, "d_v": 0, "triangle_gather": 2}
 
     @pytest.mark.parametrize("case", ["endtoend", "mirrored", "branch"])
     def test_pass_flags_match_the_written_out_rules(self, case, endtoend_state,
@@ -720,16 +730,15 @@ class TestFullReport:
 def reference_passes(state, field, beta, axis_map=None, boundary=None, grid_size=512):
     """{check name: pass} of verify_surface's checks, each pass rule
     written out on its own."""
-    normals = gauss_map(state)
-    density = density_field(state, field, normals)
-    mu1 = stability_eigenvalue(state, density.p)
-    tol_mu = 1e-3 * float(np.median(density.E))
-    enc = check_enclosure(state, beta, density)
-    rad = check_radial_normal(state, density, normals)
-    deg = projection_degree(state)
-    jac = jacobian_identity_check(state)
+    geometry = surface_geometry(state, field)
+    mu1 = stability_eigenvalue(state, geometry.p)
+    tol_mu = 1e-3 * float(np.median(geometry.E))
+    enc = check_enclosure(geometry, beta)
+    rad = check_radial_normal(geometry)
+    deg = projection_degree(geometry)
+    jac = jacobian_identity_check(geometry)
     passes = {
-        "branch_point_count": len(normals.branch_triangles) == 0,
+        "branch_point_count": len(geometry.branch_triangles) == 0,
         "stability_eigenvalue": mu1 >= -tol_mu,
         "enclosure_interior_margin": enc["min_phi_interior"] > 0.0,
         "enclosure_closed_margin": enc["min_phi_closed"] >= -1e-9,
@@ -738,7 +747,7 @@ def reference_passes(state, field, beta, axis_map=None, boundary=None, grid_size
         "jacobian_identity_discrepancy": jac < 0.5,
     }
     if axis_map is not None:
-        cc = check_cone_condition_functions(state, axis_map, beta)
+        cc = check_cone_condition_functions(geometry, axis_map, beta)
         passes["cone_condition_interior"] = cc["min_interior_phi_p"] > 0.0
         passes["cone_condition_normal_derivative"] = cc["max_normal_derivative"] < 0.0
     if boundary is not None:
