@@ -27,7 +27,7 @@ from .cone_smoothing import (
     select_delta,
 )
 from .fields import CurvatureField, build_potential_Q, check_growth, check_monotonicity
-from .geometry import c_beta, stereographic_south, winding_degree
+from .geometry import c_beta, winding_degree
 from .mesh import DiskMesh, build_disk_mesh
 from .solver import (
     SolveConfig,

@@ -5,10 +5,6 @@ class ConesurfError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class PoleSingularity(ConesurfError):
-    """Stereographic projection evaluated too close to the south pole."""
-
-
 class OutOfRange(ConesurfError):
     """A scalar parameter is outside its admissible interval."""
 

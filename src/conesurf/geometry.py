@@ -1,5 +1,5 @@
-"""Elementary spherical primitives: stereographic projection, winding
-degree, the growth constant c_beta.
+"""Elementary spherical primitives: tangent frames and the gnomonic chart,
+winding degree, the growth constant c_beta.
 
 Conventions: points are numpy arrays with the coordinates on the last axis,
 (n, 3) in space and (n, 2) in the plane, and each function returns an array
@@ -8,25 +8,28 @@ with one row per point; angles are radians.
 
 import numpy as np
 
-from .errors import OutOfRange, PointOnCurve, PoleSingularity
+from .errors import OutOfRange, PointOnCurve
 
-SOUTH_POLE_EPS = 1e-10
 MIN_WINDING_DISTANCE = 1e-9  # closest a winding_degree query may be to the loop
 
 
-def stereographic_south(p):
-    """Stereographic projection from the south pole: points (n, 3) ->
-    (p_x, p_y)/(1 + p_z), an (n, 2) array.  Raises PoleSingularity when a
-    point is too close to the south pole."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[1] != 3 or not np.all(np.isfinite(p)):
-        raise ValueError(f"expected finite points of shape (n, 3), got shape {p.shape}")
-    near = p[:, 2] <= -1.0 + SOUTH_POLE_EPS
-    if np.any(near):
-        raise PoleSingularity(
-            f"point too close to the south pole: z={p[np.argmax(near), 2]}"
-        )
-    return p[:, :2] / (1.0 + p[:, 2:])
+def tangent_frame(v):
+    """Orthonormal tangent frames (t1, t2), each (n, 3), at the unit vectors
+    v (n, 3): t1 is v ^ e3 normalized, or v ^ e1 where |v ^ e3| < 1e-8, and
+    t2 = v ^ t1, so that t1 ^ t2 = v."""
+    t1 = np.cross(v, [0.0, 0.0, 1.0])
+    polar = np.linalg.norm(t1, axis=1) < 1e-8
+    t1[polar] = np.cross(v[polar], [1.0, 0.0, 0.0])
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    return t1, np.cross(v, t1)
+
+
+def gnomonic(p, c):
+    """Gnomonic chart about the unit vector c: the points p (n, 3) with
+    p . c > 0 go to the (n, 2) coordinates (p . t1, p . t2) / (p . c) in
+    c's tangent frame.  Great-circle arcs map to straight segments."""
+    (t1,), (t2,) = tangent_frame(c[None])
+    return np.stack([p @ t1, p @ t2], axis=1) / (p @ c)[:, None]
 
 
 def c_beta(beta):

@@ -12,6 +12,10 @@ report is one table: each row is a check's name, value, comparison and
 tolerance, and its pass flag is the comparison applied to the value and
 the tolerance.
 
+The degree and the radial-graph locator read S in gnomonic charts
+(`geometry.gnomonic`, `geometry.tangent_frame`): the degree in one chart
+about the mean boundary direction, the locator about each grid direction.
+
 The stability eigenvalue mu_1 is computed by a one-vector LOBPCG
 (Knyazev 2001) preconditioned with the mesh's polar solve of the interior
 stiffness (a DFT along the rings and one tridiagonal system per Fourier
@@ -31,11 +35,11 @@ from .errors import (
     OriginHit,
     Uncovered,
 )
-from .geometry import stereographic_south, winding_degree
+from .geometry import gnomonic, tangent_frame, winding_degree
 from .solver import SurfaceState
 
-# A triangle with E <= BRANCH_THRESHOLD * median(E) is a candidate branch
-# point; below 1, at least half of the triangles keep their normal.
+# A triangle with |X_u|^2 <= BRANCH_THRESHOLD * median(|X_u|^2) is a candidate
+# branch point; below 1, at least half of the triangles keep their normal.
 BRANCH_THRESHOLD = 1e-6
 # The surface is stable when mu_1 >= -STABILITY_TOL * median(E).
 STABILITY_TOL = 1e-3
@@ -88,7 +92,7 @@ def surface_geometry(state, field):
     xu, xv, x_c = (mesh.triangle_gather @ X).reshape(3, -1, 3)
     E = mesh.vertex_average(
         0.5 * (np.einsum("ij,ij->i", xu, xu) + np.einsum("ij,ij->i", xv, xv)))
-    _, N, defined, branch_triangles = gauss_map(mesh, xu, xv)
+    N, defined, branch_triangles = gauss_map(mesh, xu, xv)
     H, grad_H = field.eval(X), field.grad(X)
     p, K = density_field(state, E, N, defined, H, grad_H)
     return SurfaceGeometry(
@@ -104,26 +108,25 @@ def surface_geometry(state, field):
 def gauss_map(mesh, xu, xv):
     """Unit normal (X_u ^ X_v)/|X_u ^ X_v| per triangle, from the triangle
     derivatives, and its area-weighted vertex average; triangles with
-    E <= BRANCH_THRESHOLD * median(E) are flagged as candidate branch
-    points.  Returns (triangle normals, nan where flagged; unit vertex
-    normals, 0 where no adjacent triangle keeps its normal; the (nv,) bool
-    mask of the vertices that have one; the flagged triangles)."""
+    |X_u|^2 <= BRANCH_THRESHOLD * median(|X_u|^2) are flagged as candidate
+    branch points and keep no normal.  Returns (unit vertex normals, 0
+    where no adjacent triangle keeps its normal; the (nv,) bool mask of the
+    vertices that have one; the flagged triangles)."""
     w = np.cross(xu, xv)
     e = np.einsum("ij,ij->i", xu, xu)
     defined = e > BRANCH_THRESHOLD * np.median(e)
-    n = np.full_like(w, np.nan)
     norms = np.linalg.norm(w, axis=1)
     ok = defined & (norms > 0)
-    n[ok] = w[ok] / norms[ok, None]
+    n = np.divide(w, norms[:, None], out=np.zeros_like(w), where=ok[:, None])
 
-    acc = mesh.load_op @ np.where(ok[:, None], n, 0.0)
+    acc = mesh.load_op @ n
     wsum = mesh.load_op @ ok.astype(float)
     vdef = wsum > 0
-    vn = np.zeros((len(mesh.vertices), 3))
-    vn[vdef] = acc[vdef] / wsum[vdef, None]
-    lens = np.linalg.norm(vn[vdef], axis=1)
-    vn[vdef] = vn[vdef] / lens[:, None]
-    return n, vn, vdef, np.nonzero(~defined)[0]
+    # in C order: acc comes back coordinate-major, and the density's
+    # einsums over N round differently in that layout
+    vn = np.divide(acc, wsum[:, None], out=np.zeros(acc.shape), where=vdef[:, None])
+    np.divide(vn, np.linalg.norm(vn, axis=1)[:, None], out=vn, where=vdef[:, None])
+    return vn, vdef, np.nonzero(~defined)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -367,34 +370,18 @@ def check_radial_normal(geometry):
 # Degree, Jacobian identity, radial-graph extraction
 
 
-def _rotation_to_north(v):
-    """Rotation matrix mapping unit vector v to (0, 0, 1)."""
-    v = v / np.linalg.norm(v)
-    e3 = np.array([0.0, 0.0, 1.0])
-    c = float(v @ e3)
-    axis = np.cross(v, e3)
-    s = np.linalg.norm(axis)
-    if s < 1e-14:
-        return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
-    axis = axis / s
-    Kx = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    return np.eye(3) + s * Kx + (1.0 - c) * (Kx @ Kx)
-
-
 def projection_degree(geometry):
-    """Winding degree of the stereographic image of the projected boundary
-    ring around N_PROBE interior probe points; all probes must agree."""
+    """Winding degree of the projected boundary ring around N_PROBE interior
+    probe points, in the gnomonic chart about the normalized mean c of its
+    directions; all probes must agree.  The chart maps great-circle arcs to
+    segments, so the planar loop is the exact image of the geodesic
+    boundary polygon.  Raises OriginHit when some S . c <= 0."""
     mesh, S = geometry.state.mesh, geometry.S
-    centroid = S[mesh.boundary].mean(axis=0)
-    R = _rotation_to_north(centroid)
-    S_rot = S @ R.T
-    if np.min(S_rot[:, 2]) <= 0.0:
+    c = S[mesh.boundary].mean(axis=0)
+    c /= np.linalg.norm(c)
+    if np.min(S @ c) <= 0.0:
         raise OriginHit("projected surface leaves the open upper hemisphere")
-    loop = stereographic_south(S_rot[mesh.boundary])
+    loop = gnomonic(S[mesh.boundary], c)
     center = loop.mean(axis=0)
     js = (np.arange(N_PROBE) * len(loop)) // N_PROBE
     degs = winding_degree(loop, center + 0.25 * (loop[js] - center)).tolist()
@@ -503,13 +490,7 @@ def _locate(S, tris, grid):
     direction on the unit-sphere mesh (S, tris); see extract_radial_graph."""
     grid = np.asarray(grid, dtype=float)
     n = len(grid)
-
-    # tangent frame at every grid direction
-    t1 = np.cross(grid, [0.0, 0.0, 1.0])
-    polar = np.linalg.norm(t1, axis=1) < 1e-8
-    t1[polar] = np.cross(grid[polar], [1.0, 0.0, 0.0])
-    t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    t2 = np.cross(grid, t1)
+    t1, t2 = tangent_frame(grid)
 
     gi, ti = _candidate_pairs(S, tris, grid)
     V = S[tris[ti]]  # (pairs, 3 vertices, 3)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conesurf as cs
-from conesurf.errors import OutOfRange, PointOnCurve, PoleSingularity
+from conesurf.errors import OutOfRange, PointOnCurve
+from conesurf.geometry import gnomonic, tangent_frame
 
 
 def unit_circle_loop(n=64, reverse=False):
@@ -13,60 +14,49 @@ def unit_circle_loop(n=64, reverse=False):
     return loop[::-1] if reverse else loop
 
 
-def stereographic_south_inverse(q):
-    """Inverse of stereographic_south for one point q of the plane:
-    (2 q, 1 - |q|^2) / (1 + |q|^2) on S^2."""
-    s = q @ q
-    return np.array([2.0 * q[0], 2.0 * q[1], 1.0 - s]) / (1.0 + s)
-
-
 def degree(loop, q):
     """The winding degree around one query point."""
     (deg,) = cs.winding_degree(loop, [q])
     return deg
 
 
-class TestStereographic:
-    def test_north_pole(self):
-        np.testing.assert_allclose(cs.stereographic_south([[0, 0, 1]]), [[0, 0]])
+def random_unit_vectors(n, seed):
+    p = np.random.default_rng(seed).normal(size=(n, 3))
+    return p / np.linalg.norm(p, axis=1)[:, None]
 
-    def test_equator(self):
-        np.testing.assert_allclose(cs.stereographic_south([[1, 0, 0]]), [[1, 0]])
 
-    def test_generic(self):
-        np.testing.assert_allclose(cs.stereographic_south([[0, 0.6, 0.8]]), [[0, 1 / 3]])
+class TestGnomonicChart:
+    @pytest.mark.parametrize("v", [random_unit_vectors(50, 0),
+                                   np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])],
+                             ids=["random", "poles"])
+    def test_tangent_frame_is_orthonormal_and_right_handed(self, v):
+        # the poles take the v ^ e1 branch
+        t1, t2 = tangent_frame(v)
+        frame = np.stack([t1, t2, v], axis=1)  # rows t1, t2, v per point
+        np.testing.assert_allclose(frame @ frame.transpose(0, 2, 1),
+                                   np.broadcast_to(np.eye(3), frame.shape), atol=1e-14)
+        np.testing.assert_allclose(np.cross(t1, t2), v, atol=1e-14)
 
-    def test_pole_singularity(self):
-        with pytest.raises(PoleSingularity):
-            cs.stereographic_south([[0, 0, -1]])
+    @pytest.mark.parametrize("c", [[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.36, -0.48, 0.8]])
+    def test_center_maps_to_origin(self, c):
+        c = np.array(c)
+        np.testing.assert_allclose(gnomonic(c[None], c), [[0.0, 0.0]], atol=1e-15)
 
-    def test_array_matches_rows(self):
-        rng = np.random.default_rng(0)
-        p = rng.normal(size=(50, 3))
-        p /= np.linalg.norm(p, axis=1)[:, None]
-        p[:, 2] = np.abs(p[:, 2])
-        q = cs.stereographic_south(p)
-        assert q.shape == (50, 2)
-        np.testing.assert_array_equal(q, [cs.stereographic_south(row[None])[0] for row in p])
-        assert cs.stereographic_south(np.zeros((0, 3))).shape == (0, 2)
-
-    def test_array_pole_singularity_names_the_row(self):
-        p = np.array([[0.0, 0.6, 0.8], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(PoleSingularity, match="z=-1.0"):
-            cs.stereographic_south(p)
-
-    def test_bad_shapes_rejected(self):
-        for bad in (np.zeros(3), np.zeros((4, 2)), np.zeros((2, 2, 3)), [[0.0, 0.0, np.nan]]):
-            with pytest.raises(ValueError):
-                cs.stereographic_south(bad)
-
-    @given(st.floats(0, 2 * np.pi), st.floats(-0.9, 1.0))
-    @settings(max_examples=100)
-    def test_round_trip(self, theta, z):
-        s = np.sqrt(max(0.0, 1.0 - z * z))
-        p = np.array([s * np.cos(theta), s * np.sin(theta), z])
-        (q,) = cs.stereographic_south(p[None])
-        np.testing.assert_allclose(stereographic_south_inverse(q), p, atol=1e-12)
+    def test_great_circle_arc_maps_to_a_segment(self):
+        c = np.array([0.36, -0.48, 0.8])
+        p = random_unit_vectors(400, 1)
+        p = np.where((p @ c)[:, None] > 0, p, -p)
+        # points up to 72 degrees from c, beyond the widest boundary chart in use
+        p = p[p @ c > 0.3][:200]
+        a, b = p[:100], p[100:]
+        mid = (a + b) / np.linalg.norm(a + b, axis=1)[:, None]
+        qa, qb, qm = gnomonic(a, c), gnomonic(b, c), gnomonic(mid, c)
+        # qm = qa + t (qb - qa) with t in [0, 1] and no normal offset
+        d = qb - qa
+        t = np.einsum("ij,ij->i", qm - qa, d) / np.einsum("ij,ij->i", d, d)
+        assert np.all((t >= 0.0) & (t <= 1.0))
+        off = qm - qa - t[:, None] * d
+        assert np.max(np.linalg.norm(off, axis=1)) <= 1e-12
 
 
 class TestCBeta:

@@ -69,13 +69,8 @@ def branch_state(power, n_r, n_theta):
 class TestGaussMap:
     def test_flat_disk_normals(self, flat_disk_state):
         mesh, X = flat_disk_state.mesh, flat_disk_state.X
-        tri_normals, vertex_normals, _, branch_triangles = gauss_map(
-            mesh, mesh.d_u @ X, mesh.d_v @ X)
+        vertex_normals, _, branch_triangles = gauss_map(mesh, mesh.d_u @ X, mesh.d_v @ X)
         assert len(branch_triangles) == 0
-        np.testing.assert_allclose(
-            tri_normals, np.tile([0.0, 0.0, 1.0], (len(mesh.triangles), 1)),
-            atol=1e-10,
-        )
         np.testing.assert_allclose(
             vertex_normals[:, 2], 1.0, atol=1e-10
         )
@@ -333,6 +328,23 @@ class TestDegreeAndJacobian:
         with pytest.raises(OriginHit, match="open upper hemisphere"):
             projection_degree(surface_geometry(moved, ZERO))
 
+    @pytest.mark.parametrize("angle", [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi])
+    def test_degree_with_the_chart_center_off_the_pole(self, endtoend_state, angle):
+        # the surface turned about e3 and tilted 0.3 rad about e1 as a
+        # whole, so the chart's center leaves e3; mirrored, the degree is -1
+        c, s = np.cos(angle), np.sin(angle)
+        turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        c, s = np.cos(0.3), np.sin(0.3)
+        tilt = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        X = endtoend_state.X @ (tilt @ turn).T
+        for mirror, want in ((1.0, 1), (-1.0, -1)):
+            moved = SurfaceState(mesh=endtoend_state.mesh, X=X * np.array([1.0, mirror, 1.0]),
+                                 boundary_theta=endtoend_state.boundary_theta)
+            geometry = surface_geometry(moved, ZERO)
+            center = geometry.S[moved.mesh.boundary].mean(axis=0)
+            assert center[2] / np.linalg.norm(center) < np.cos(0.2)
+            assert projection_degree(geometry) == want
+
     def test_self_overlapping_loop_is_inconsistent(self, flat_disk_state):
         # the boundary ring on the limacon r = 1/2 + cos(theta) at height
         # 2, which winds twice around the points of its inner loop and once
@@ -387,6 +399,11 @@ class TestRadialGraph:
         grid = domain_grid(curve.boundary, 100)
         lam = extract_radial_graph(flat_disk_state, grid)
         np.testing.assert_allclose(lam, 2.0 / grid[:, 2], rtol=2e-3)
+
+    def test_flat_disk_graph_at_the_pole(self, flat_disk_state):
+        # the grid direction e3 takes the tangent frame's v ^ e1 branch
+        lam = extract_radial_graph(flat_disk_state, np.array([[0.0, 0.0, 1.0]]))
+        np.testing.assert_allclose(lam, [2.0], rtol=1e-12)
 
     def test_sphere_graph_is_constant(self):
         mesh = cs.build_disk_mesh(16, 32)
