@@ -12,9 +12,8 @@ report is one table: each row is a check's name, value, comparison and
 tolerance, and its pass flag is the comparison applied to the value and
 the tolerance.
 
-The degree and the radial-graph locator read S in gnomonic charts
-(`geometry.gnomonic`, `geometry.tangent_frame`): the degree in one chart
-about the mean boundary direction, the locator about each grid direction.
+The degree and the radial-graph locator read S in one gnomonic chart,
+about the mean boundary direction (`gnomonic_chart`).
 
 The stability eigenvalue mu_1 is computed by a one-vector LOBPCG
 (Knyazev 2001) preconditioned with the mesh's polar solve of the interior
@@ -35,7 +34,7 @@ from .errors import (
     OriginHit,
     Uncovered,
 )
-from .geometry import gnomonic, tangent_frame, winding_degree
+from .geometry import gnomonic, winding_degree
 from .solver import SurfaceState
 
 # A triangle with |X_u|^2 <= BRANCH_THRESHOLD * median(|X_u|^2) is a candidate
@@ -370,18 +369,24 @@ def check_radial_normal(geometry):
 # Degree, Jacobian identity, radial-graph extraction
 
 
-def projection_degree(geometry):
-    """Winding degree of the projected boundary ring around N_PROBE interior
-    probe points, in the gnomonic chart about the normalized mean c of its
-    directions; all probes must agree.  The chart maps great-circle arcs to
-    segments, so the planar loop is the exact image of the geodesic
-    boundary polygon.  Raises OriginHit when some S . c <= 0."""
-    mesh, S = geometry.state.mesh, geometry.S
+def gnomonic_chart(S, mesh):
+    """(c, P): c the normalized mean of the boundary directions of S (nv, 3)
+    and P (nv, 2) every direction in the gnomonic chart about c, which maps
+    great-circle arcs to segments and each triangle's radial projection to
+    a straight triangle.  Raises OriginHit when some S . c <= 0."""
     c = S[mesh.boundary].mean(axis=0)
     c /= np.linalg.norm(c)
     if np.min(S @ c) <= 0.0:
-        raise OriginHit("projected surface leaves the open upper hemisphere")
-    loop = gnomonic(S[mesh.boundary], c)
+        raise OriginHit("projected surface leaves the open hemisphere about the mean"
+                        " boundary direction")
+    return c, gnomonic(S, c)
+
+
+def projection_degree(geometry):
+    """Winding degree of the projected boundary ring around N_PROBE interior
+    probe points, in the surface's gnomonic chart; all probes must agree."""
+    mesh = geometry.state.mesh
+    loop = gnomonic_chart(geometry.S, mesh)[1][mesh.boundary]
     center = loop.mean(axis=0)
     js = (np.arange(N_PROBE) * len(loop)) // N_PROBE
     degs = winding_degree(loop, center + 0.25 * (loop[js] - center)).tolist()
@@ -412,104 +417,71 @@ def domain_grid(boundary, n):
 
 
 EDGE_TOL = 1e-10
-# Candidate caps.  Triangle t's geodesic triangle on S^2 lies in the cap of
-# chordal radius rho_t about its normalized vertex mean.  A loose hit (all
-# barycentric coordinates >= -EDGE_TOL) lies outside the triangle by at most
-# about 20 EDGE_TOL rho_t / d^2 in chord, d the smallest cosine between p
-# and a vertex, so widening every cap by CAP_MARGIN keeps every loose hit
-# with d >= 5e-4.  A loose hit with smaller d needs rho_t above 0.3, and
-# triangles with a widened rho_t above WIDE_CAP are tested at every grid
-# point.  The other caps are found by bucketing their centers in cubes at
-# least as wide as every such cap, and no narrower than MIN_CUBE, which
-# keeps the cube keys in int64.  The centers and radii come from the three
-# corner gathers, with the radii taken from squared distances; each grid
-# point looks up the occupied cubes among its 27 neighbors once, and its
-# candidates are tested one coordinate at a time.
-CAP_MARGIN = 1e-2
-WIDE_CAP = 0.25
-MIN_CUBE = 1e-3
-_NEIGHBOR_CUBES = np.array(list(np.ndindex(3, 3, 3))) - 1
 
 
-def _caps(S, tris):
-    """Center (nt, 3) and widened chordal radius (nt,) of the cap about
-    each triangle of the unit-sphere mesh (S, tris)."""
-    corners = [S.take(tris[:, k], axis=0) for k in range(3)]
-    mean = (corners[0] + corners[1] + corners[2]) / 3.0
-    norm = np.sqrt(np.einsum("ij,ij->i", mean, mean))
-    c = mean / np.where(norm > 0.0, norm, 1.0)[:, None]
-    far = np.maximum.reduce([np.einsum("ij,ij->i", v - c, v - c) for v in corners])
-    return c, (1.0 + CAP_MARGIN) * np.sqrt(far)
-
-
-def _candidate_pairs(S, tris, grid):
-    """(grid index, triangle index) pairs, sorted, that contain every pair
-    in which the triangle can contain the grid direction, strictly or
-    within EDGE_TOL."""
-    c, reach = _caps(S, tris)
-    narrow = np.nonzero(reach <= WIDE_CAP)[0]
-    wide = np.nonzero(reach > WIDE_CAP)[0]
-
-    # a direction within reach of a center lies in one of the 27 cubes
-    # around the center's own
-    h = max(np.max(reach[narrow], initial=0.0), MIN_CUBE)
-    span = int(np.ceil(1.0 / h)) + 2  # every cube coordinate is in [-span, span)
-
-    def key(cube):
-        return ((cube[..., 0] + span) * 2 * span + cube[..., 1] + span) * 2 * span + cube[..., 2] + span
-
-    keys = key(np.floor(c[narrow] / h).astype(int))
+def _candidate_pairs(P, tris, q):
+    """(point, triangle) index pairs, sorted, of the chart points q (m, 2)
+    and the triangles of the chart mesh (P, tris) whose bounding box,
+    widened by 2 EDGE_TOL times its extent, holds the point: a point with
+    every barycentric weight >= -EDGE_TOL, at most two of them negative,
+    leaves the box of the corners by at most 2 EDGE_TOL (max - min)."""
+    box = np.stack([P[:, k].take(tris.T.copy()) for k in range(2)])  # (2, 3, nt)
+    lo, hi = box.min(axis=1), box.max(axis=1)
+    lo, hi = lo - 2.0 * EDGE_TOL * (hi - lo), hi + 2.0 * EDGE_TOL * (hi - lo)
+    h = np.max(hi - lo)
+    if not h > 0.0:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    # boxes go by low corner into square cells of side h, counted from one
+    # below the lowest box's (at most nv + 3 a side: the mesh is connected); a
+    # point, clipped into their span, finds its boxes in its cell or the 3 below/left
+    origin = np.floor(lo.min(axis=1) / h)[:, None] - 1
+    box_cell = (np.floor(lo / h) - origin).astype(np.int64)
+    cols = int(np.max(box_cell[1])) + 2
+    point = np.clip(q.T, lo.min(axis=1)[:, None], hi.max(axis=1)[:, None])
+    point_cell = (np.floor(point / h) - origin).astype(np.int64)
+    keys = np.array([cols, 1]) @ box_cell
     order = np.argsort(keys)
-    keys, narrow = keys[order], narrow[order]
-    # the occupied cubes, each with the run of narrow caps (in key order)
-    # centered in it; the last entry is a key above every cube's
+    keys = keys[order]
+    # the occupied cells, each with the run of boxes (in key order) whose low
+    # corner is in it; the last entry is a key above every cell's
     start = np.flatnonzero(np.diff(keys, prepend=-1))
-    cubes = np.append(keys[start], (2 * span) ** 3)
+    cells = np.append(keys[start], np.iinfo(np.int64).max)
     size = np.diff(start, append=len(keys))
-    probe = key(np.floor(grid / h).astype(int)[:, None, :] + _NEIGHBOR_CUBES).ravel()
-    at = np.searchsorted(cubes, probe)
-    hit = np.nonzero(cubes[at] == probe)[0]
+    probe = ((np.array([cols, 1]) @ point_cell)[:, None] - [0, 1, cols, cols + 1]).ravel()
+    at = np.searchsorted(cells, probe)
+    hit = np.nonzero(cells[at] == probe)[0]
     at = at[hit]
     count = size[at]
-    gi = np.repeat(hit // len(_NEIGHBOR_CUBES), count)
+    gi = np.repeat(hit // 4, count)
     # each candidate's place in key order: its run's start plus its rank in the run
-    j = np.arange(len(gi)) + np.repeat(start[at] - (np.cumsum(count) - count), count)
-    ti = narrow[j]
-    dist2 = sum((g.take(gi) - x.take(ti)) ** 2
-                for g, x in zip(np.ascontiguousarray(grid.T), np.ascontiguousarray(c.T)))
-    keep = dist2 <= reach.take(ti) ** 2
-
-    gi = np.concatenate([gi[keep], np.repeat(np.arange(len(grid)), len(wide))])
-    ti = np.concatenate([ti[keep], np.tile(wide, len(grid))])
+    ti = order[np.arange(len(gi)) + np.repeat(start[at] - (np.cumsum(count) - count), count)]
+    x = [coord.take(gi) for coord in q.T]
+    keep = np.logical_and.reduce([(lo[k].take(ti) <= x[k]) & (x[k] <= hi[k].take(ti))
+                                  for k in range(2)])
+    gi, ti = gi[keep], ti[keep]
     order = np.argsort(gi * len(tris) + ti)
     return gi[order], ti[order]
 
 
-def _locate(S, tris, grid):
+def _locate(S, tris, c, P, grid):
     """Containing triangle and normalized barycentric weights of every grid
-    direction on the unit-sphere mesh (S, tris); see extract_radial_graph."""
+    direction on the unit-sphere mesh (S, tris), from a planar barycentric
+    test in its gnomonic chart (c, P); see extract_radial_graph."""
     grid = np.asarray(grid, dtype=float)
     n = len(grid)
-    t1, t2 = tangent_frame(grid)
+    # every vertex has S . c > 0, so a direction with p . c <= 0 is in no triangle
+    front = np.flatnonzero(grid @ c > 0.0)
+    q = gnomonic(grid[front], c)
 
-    gi, ti = _candidate_pairs(S, tris, grid)
-    V = S[tris[ti]]  # (pairs, 3 vertices, 3)
-    p = grid[gi]
-    d = np.einsum("pkj,pj->pk", V, p)
-    front = d > 1e-9
-    G = np.where(front[..., None], V / np.where(front, d, 1.0)[..., None] - p[:, None, :], np.nan)
-    ax, bx, cx = np.einsum("pkj,pj->kp", G, t1[gi])
-    ay, by, cy = np.einsum("pkj,pj->kp", G, t2[gi])
-
+    qi, ti = _candidate_pairs(P, tris, q)
+    corners = tris.take(ti, axis=0).T
+    (ax, bx, cx), (ay, by, cy) = (P[:, k].take(corners) - q[:, k].take(qi) for k in range(2))
     det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    nz = front.all(axis=1) & (np.abs(det) > 1e-18)
-    safe = np.where(nz, det, 1.0)
-    bary = np.where(nz[:, None], np.stack([
-        (bx * cy - by * cx) / safe,
-        (cx * ay - cy * ax) / safe,
-        (ax * by - ay * bx) / safe,
-    ], axis=1), np.nan)
+    nz = np.abs(det) > 1e-18
+    bary = np.stack([bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx],
+                    axis=1) / np.where(nz, det, 1.0)[:, None]
 
+    gi = front[qi]
     strict = nz & np.all(bary > EDGE_TOL, axis=1)
     loose = nz & np.all(bary >= -EDGE_TOL, axis=1)
     n_strict = np.bincount(gi[strict], minlength=n)
@@ -526,23 +498,25 @@ def _locate(S, tris, grid):
     _, first = np.unique(gi[loose], return_index=True)
     pick = np.nonzero(loose)[0][first]
     pick[gi[strict]] = np.nonzero(strict)[0]
-    w = bary[pick]
-    return ti[pick], w / w.sum(axis=1)[:, None]
+    t = ti[pick]
+    # the chart weights nu give p / (p . c) = sum nu_k V_k / (V_k . c), so p's
+    # weights in its own tangent plane are nu_k (V_k . p) / (V_k . c), normalized
+    V = S[tris[t]]
+    w = bary[pick] * np.einsum("ikj,ij->ik", V, grid) / (V @ c)
+    return t, w / w.sum(axis=1)[:, None]
 
 
 def extract_radial_graph(state, grid):
     """Radial-graph table lambda(p) = |X| at the unique parameter point
-    projecting to p, for each grid direction p.
-
-    Point location is by gnomonic projection onto the tangent plane at p
-    followed by a planar barycentric test; a point on an edge is assigned
-    to the lowest-index containing triangle.  Only the triangles whose
-    bounding cap on S^2 reaches p are tested, found by bucketing the cap
-    centers in cubes.  Raises for the first grid point, in grid order, that is
-    covered zero times or more than once (injectivity failure)."""
+    projecting to p, for each grid direction p: a planar barycentric test in
+    `gnomonic_chart` of the triangles whose chart bounding box holds p.  A
+    point on an edge goes to the lowest-index containing triangle.  Raises
+    OriginHit as the chart does, and for the first grid point, in grid
+    order, covered zero times or more than once (injectivity failure)."""
     radii = np.linalg.norm(state.X, axis=1)
+    S = state.X / radii[:, None]
     tris = state.mesh.triangles
-    t, w = _locate(state.X / radii[:, None], tris, grid)
+    t, w = _locate(S, tris, *gnomonic_chart(S, state.mesh), grid)
     return np.einsum("ij,ij->i", w, radii[tris[t]])
 
 

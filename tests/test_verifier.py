@@ -17,6 +17,7 @@ from conesurf.errors import (
     OriginHit,
     Uncovered,
 )
+from conesurf.geometry import gnomonic
 from conesurf.solver import SurfaceState
 from conesurf.verifier import (
     EDGE_TOL,
@@ -27,6 +28,7 @@ from conesurf.verifier import (
     domain_grid,
     extract_radial_graph,
     gauss_map,
+    gnomonic_chart,
     jacobian_identity_check,
     projection_degree,
     stability_eigenvalue,
@@ -325,18 +327,14 @@ class TestDegreeAndJacobian:
     def test_vertex_leaving_the_hemisphere_is_origin_hit(self, flat_disk_state):
         # the center moved to the south pole of the unit sphere
         moved = with_rows(flat_disk_state, 0, [0.0, 0.0, -1.0])
-        with pytest.raises(OriginHit, match="open upper hemisphere"):
+        with pytest.raises(OriginHit, match="open hemisphere about the mean boundary direction"):
             projection_degree(surface_geometry(moved, ZERO))
 
     @pytest.mark.parametrize("angle", [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi])
     def test_degree_with_the_chart_center_off_the_pole(self, endtoend_state, angle):
         # the surface turned about e3 and tilted 0.3 rad about e1 as a
         # whole, so the chart's center leaves e3; mirrored, the degree is -1
-        c, s = np.cos(angle), np.sin(angle)
-        turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        c, s = np.cos(0.3), np.sin(0.3)
-        tilt = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-        X = endtoend_state.X @ (tilt @ turn).T
+        X = endtoend_state.X @ turn_and_tilt(angle).T
         for mirror, want in ((1.0, 1), (-1.0, -1)):
             moved = SurfaceState(mesh=endtoend_state.mesh, X=X * np.array([1.0, mirror, 1.0]),
                                  boundary_theta=endtoend_state.boundary_theta)
@@ -372,6 +370,15 @@ class TestDegreeAndJacobian:
         assert abs(jacobian_identity_check(surface_geometry(state, ZERO)) - want) <= 1e-12 * want
 
 
+def turn_and_tilt(angle):
+    """The rotation by `angle` about e3 followed by 0.3 rad about e1."""
+    c, s = np.cos(angle), np.sin(angle)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    c, s = np.cos(0.3), np.sin(0.3)
+    tilt = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return tilt @ turn
+
+
 def reference_jacobian_identity(state):
     """jacobian_identity_check from the derivative operators and the
     vertex-mean centroids of fancy-indexed corners."""
@@ -401,7 +408,8 @@ class TestRadialGraph:
         np.testing.assert_allclose(lam, 2.0 / grid[:, 2], rtol=2e-3)
 
     def test_flat_disk_graph_at_the_pole(self, flat_disk_state):
-        # the grid direction e3 takes the tangent frame's v ^ e1 branch
+        # the grid direction e3, the chart's center: a cap's chart is about
+        # e3, so its frame takes the v ^ e1 branch
         lam = extract_radial_graph(flat_disk_state, np.array([[0.0, 0.0, 1.0]]))
         np.testing.assert_allclose(lam, [2.0], rtol=1e-12)
 
@@ -422,6 +430,38 @@ class TestRadialGraph:
         p = np.array([np.sin(1.0), 0.0, np.cos(1.0)])
         with pytest.raises(Uncovered):
             extract_radial_graph(flat_disk_state, p[None, :])
+
+    def test_direction_off_the_chart_is_uncovered(self, flat_disk_state):
+        # -e3 has p . c <= 0 for the chart center c = e3: it has no chart
+        # point and lies in no triangle
+        with pytest.raises(Uncovered) as info:
+            extract_radial_graph(flat_disk_state, np.array([[0.0, 0.0, -1.0]]))
+        assert info.value.point == (0.0, 0.0, -1.0)
+        assert [type(x) for x in info.value.point] == [float] * 3
+
+    def test_vertex_leaving_the_hemisphere_is_origin_hit(self, flat_disk_state):
+        # the center moved to the south pole of the unit sphere: the locator
+        # builds the degree's chart and raises as the degree does
+        moved = with_rows(flat_disk_state, 0, [0.0, 0.0, -1.0])
+        with pytest.raises(OriginHit, match="open hemisphere about the mean boundary direction"):
+            extract_radial_graph(moved, np.array([[0.0, 0.0, 1.0]]))
+
+    @pytest.mark.parametrize("angle", [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi])
+    def test_graph_with_the_chart_center_off_the_pole(self, endtoend_state, endtoend_scenario,
+                                                      angle):
+        # the surface and its grid turned about e3 and tilted 0.3 rad about
+        # e1 as a whole, so the chart's center leaves e3: the same
+        # triangles, and lambda within round-off
+        R = turn_and_tilt(angle)
+        grid = domain_grid(endtoend_scenario[1], 300)
+        moved = SurfaceState(mesh=endtoend_state.mesh, X=endtoend_state.X @ R.T,
+                             boundary_theta=endtoend_state.boundary_theta)
+        S = moved.X / np.linalg.norm(moved.X, axis=1)[:, None]
+        assert gnomonic_chart(S, moved.mesh)[0][2] < np.cos(0.2)
+        np.testing.assert_array_equal(located_triangles(moved, grid @ R.T),
+                                      located_triangles(endtoend_state, grid))
+        np.testing.assert_allclose(extract_radial_graph(moved, grid @ R.T),
+                                   extract_radial_graph(endtoend_state, grid), rtol=1e-13, atol=0)
 
     def test_folded_surface_raises(self):
         # u -> u^3 - 0.75 u folds three times over x near 0
@@ -454,6 +494,35 @@ class TestRadialGraph:
         assert "np.float64" not in row["detail"]["error"]
 
 
+def reference_weights(S, tris, p):
+    """Barycentric weights of the direction p in every triangle of the
+    unit-sphere mesh (S, tris), in the tangent plane at p: (defined mask,
+    (l0, l1, l2)), NaN where undefined."""
+    t1 = np.cross(p, np.array([0.0, 0.0, 1.0]))
+    if np.linalg.norm(t1) < 1e-8:
+        t1 = np.cross(p, np.array([1.0, 0.0, 0.0]))
+    t1 /= np.linalg.norm(t1)
+    t2 = np.cross(p, t1)
+
+    d = S @ p
+    front = d > 1e-9
+    G = np.where(front[:, None], S / np.where(front, d, 1.0)[:, None] - p, np.nan)
+    x = G @ t1
+    y = G @ t2
+
+    a0, a1, a2 = tris[:, 0], tris[:, 1], tris[:, 2]
+    ok = front[a0] & front[a1] & front[a2]
+    ax, ay = x[a0], y[a0]
+    bx, by = x[a1], y[a1]
+    cx, cy = x[a2], y[a2]
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    nz = ok & (np.abs(det) > 1e-18)
+    l0 = np.where(nz, (bx * cy - by * cx) / np.where(nz, det, 1.0), np.nan)
+    l1 = np.where(nz, (cx * ay - cy * ax) / np.where(nz, det, 1.0), np.nan)
+    l2 = np.where(nz, (ax * by - ay * bx) / np.where(nz, det, 1.0), np.nan)
+    return nz, (l0, l1, l2)
+
+
 def reference_radial_graph(state, grid):
     """Brute-force point location, every triangle tested for every grid
     direction in turn: (triangle per direction, lambda per direction)."""
@@ -462,29 +531,7 @@ def reference_radial_graph(state, grid):
     S = state.X / radii[:, None]
     picked, lam = [], []
     for p in np.asarray(grid, dtype=float):
-        t1 = np.cross(p, np.array([0.0, 0.0, 1.0]))
-        if np.linalg.norm(t1) < 1e-8:
-            t1 = np.cross(p, np.array([1.0, 0.0, 0.0]))
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(p, t1)
-
-        d = S @ p
-        front = d > 1e-9
-        G = np.where(front[:, None], S / np.where(front, d, 1.0)[:, None] - p, np.nan)
-        x = G @ t1
-        y = G @ t2
-
-        a0, a1, a2 = tris[:, 0], tris[:, 1], tris[:, 2]
-        ok = front[a0] & front[a1] & front[a2]
-        ax, ay = x[a0], y[a0]
-        bx, by = x[a1], y[a1]
-        cx, cy = x[a2], y[a2]
-        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        nz = ok & (np.abs(det) > 1e-18)
-        l0 = np.where(nz, (bx * cy - by * cx) / np.where(nz, det, 1.0), np.nan)
-        l1 = np.where(nz, (cx * ay - cy * ax) / np.where(nz, det, 1.0), np.nan)
-        l2 = np.where(nz, (ax * by - ay * bx) / np.where(nz, det, 1.0), np.nan)
-
+        nz, (l0, l1, l2) = reference_weights(S, tris, p)
         strict = nz & (l0 > EDGE_TOL) & (l1 > EDGE_TOL) & (l2 > EDGE_TOL)
         n_strict = int(np.count_nonzero(strict))
         if n_strict > 1:
@@ -504,9 +551,22 @@ def reference_radial_graph(state, grid):
     return np.array(picked, dtype=int), np.array(lam)
 
 
+def loose_pairs(state, grid):
+    """Every (grid index, triangle index) pair in which the brute-force
+    weights are all >= -EDGE_TOL."""
+    tris = state.mesh.triangles
+    S = state.X / np.linalg.norm(state.X, axis=1)[:, None]
+    pairs = set()
+    for g, p in enumerate(np.asarray(grid, dtype=float)):
+        nz, (l0, l1, l2) = reference_weights(S, tris, p)
+        loose = nz & (l0 >= -EDGE_TOL) & (l1 >= -EDGE_TOL) & (l2 >= -EDGE_TOL)
+        pairs.update((g, int(t)) for t in np.nonzero(loose)[0])
+    return pairs
+
+
 def located_triangles(state, grid):
     S = state.X / np.linalg.norm(state.X, axis=1)[:, None]
-    return _locate(S, state.mesh.triangles, grid)[0]
+    return _locate(S, state.mesh.triangles, *gnomonic_chart(S, state.mesh), grid)[0]
 
 
 def folded_state():
@@ -523,55 +583,53 @@ def sphere_state():
     return synthetic_state(cs.build_disk_mesh(16, 32), fn)
 
 
-def reference_caps(S, tris):
-    """Cap centers and widened radii from the (nt, 3, 3) corner array, its
-    mean and the norms of its rows."""
-    V = S[tris]
-    mean = V.mean(axis=1)
-    norm = np.linalg.norm(mean, axis=1)
-    c = mean / np.where(norm > 0.0, norm, 1.0)[:, None]
-    return c, (1.0 + verifier.CAP_MARGIN) * np.max(np.linalg.norm(V - c[:, None, :], axis=2), axis=1)
-
-
 def unit_states():
-    """(S, triangles, grid) on the unit sphere for a flat disk, a sphere
-    patch, and a coarse wide cap with caps wider than WIDE_CAP."""
+    """(S, triangles, grid, state) on the unit sphere for a flat disk, a
+    sphere patch, and a coarse wide cap whose triangles span up to 63
+    degrees from the chart center."""
     flat = synthetic_state(cs.build_disk_mesh(16, 32), lambda u, v: np.array([u, v, 2.0]))
     wide = synthetic_state(cs.build_disk_mesh(6, 12), lambda u, v: np.array([2 * u, 2 * v, 1.0]))
     out = []
     for st, alpha in ((flat, np.arctan2(1.0, 2.0)), (sphere_state(), np.arctan2(1.0, 2.0)),
                       (wide, np.arctan(2.0))):
         S = st.X / np.linalg.norm(st.X, axis=1)[:, None]
-        out.append((S, st.mesh.triangles, domain_grid(cs.SphericalBoundary.cap(alpha), 300)))
+        out.append((S, st.mesh.triangles, domain_grid(cs.SphericalBoundary.cap(alpha), 300), st))
     return out
 
 
-class TestCandidateCaps:
+class TestCandidateBoxes:
     @pytest.mark.parametrize("case", range(3), ids=["flat", "sphere", "wide"])
-    def test_caps_match_mean_and_norm(self, case):
-        S, tris, _ = unit_states()[case]
-        c, reach = verifier._caps(S, tris)
-        c_ref, reach_ref = reference_caps(S, tris)
-        np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(reach, reach_ref, rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("case", range(3), ids=["flat", "sphere", "wide"])
-    def test_pairs_are_every_cap_within_reach(self, case):
-        # the cube lookup keeps exactly the narrow caps within reach, and
-        # every wide cap, sorted by (grid point, triangle)
-        S, tris, grid = unit_states()[case]
-        c, reach = verifier._caps(S, tris)
-        d2 = ((grid[:, None, :] - c[None]) ** 2).sum(axis=2)
-        wide = reach > verifier.WIDE_CAP
-        gi, ti = np.nonzero((d2 <= reach**2) | wide)
-        got = verifier._candidate_pairs(S, tris, grid)
+    def test_pairs_are_every_widened_box_holding_the_point(self, case):
+        # the cell lookup keeps exactly the triangles whose chart bounding
+        # box, widened by 2 EDGE_TOL times its extent, holds the point,
+        # sorted by (point, triangle)
+        S, tris, grid, st = unit_states()[case]
+        c, P = gnomonic_chart(S, st.mesh)
+        q = gnomonic(grid, c)
+        corners = P[tris]  # (nt, 3 corners, 2)
+        lo, hi = corners.min(axis=1), corners.max(axis=1)
+        pad = 2.0 * EDGE_TOL * (hi - lo)
+        lo, hi = lo - pad, hi + pad
+        holds = np.all((lo[None] <= q[:, None]) & (q[:, None] <= hi[None]), axis=2)
+        gi, ti = np.nonzero(holds)
+        got = verifier._candidate_pairs(P, tris, q)
         np.testing.assert_array_equal(got[0], gi)
         np.testing.assert_array_equal(got[1], ti)
-        assert case != 2 or wide.any()
+
+    @pytest.mark.parametrize("case", range(3), ids=["flat", "sphere", "wide"])
+    def test_pairs_hold_every_loose_hit(self, case):
+        # every triangle that holds a point within EDGE_TOL, tested against
+        # every triangle at every point, is among its candidates
+        S, tris, grid, st = unit_states()[case]
+        c, P = gnomonic_chart(S, st.mesh)
+        pairs = set(zip(*(x.tolist() for x in verifier._candidate_pairs(P, tris, gnomonic(grid, c)))))
+        loose = loose_pairs(st, grid)
+        assert loose and loose <= pairs
 
 
 class TestRadialGraphAgainstBruteForce:
-    """The KD-tree candidate location against testing every triangle."""
+    """The chart's box-cell candidate location against testing every
+    triangle."""
 
     def check(self, state, grid):
         ref_t, ref_lam = reference_radial_graph(state, grid)
@@ -589,8 +647,8 @@ class TestRadialGraphAgainstBruteForce:
         self.check(endtoend_state, domain_grid(endtoend_scenario[1], 300))
 
     def test_wide_triangles(self):
-        # a coarse mesh over a wide cap: 72 of the 132 triangles have caps
-        # wider than WIDE_CAP and are tested at every grid point
+        # a coarse mesh over a wide cap, its triangles up to 63 degrees from
+        # the chart center
         st = synthetic_state(cs.build_disk_mesh(6, 12), lambda u, v: np.array([2 * u, 2 * v, 1.0]))
         self.check(st, domain_grid(cs.SphericalBoundary.cap(np.arctan(2.0)), 300))
 
