@@ -9,6 +9,12 @@ around the north pole:
     a = alpha(theta).
 
 The enclosed domain Omega is the star-shaped region of colatitude < alpha.
+
+Every per-theta caller that needs the tangent as well as the point reads
+`SphericalBoundary.frame`, which returns (gamma_hat, gamma_hat') from one
+`FourierScalar.jet` of alpha, i.e. (alpha, alpha') from one cos k theta and
+sin k theta per order.  `gamma_hat` keeps a value-only path; both build the
+point with the same formula, so frame's gamma_hat equals it bit for bit.
 """
 
 import numpy as np
@@ -33,24 +39,55 @@ class FourierScalar:
         self.const = float(const)
         self.cos_coeffs = np.asarray(cos_coeffs, dtype=float)
         self.sin_coeffs = np.asarray(sin_coeffs, dtype=float)
+        # f' = sum_k k b_k cos k t - sum_k k a_k sin k t
+        self._dcos = np.arange(1, len(self.sin_coeffs) + 1) * self.sin_coeffs
+        self._dsin = -np.arange(1, len(self.cos_coeffs) + 1) * self.cos_coeffs
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
-        out = np.full_like(theta, self.const)
-        for k, a in enumerate(self.cos_coeffs, start=1):
-            out = out + a * np.cos(k * theta)
-        for k, b in enumerate(self.sin_coeffs, start=1):
-            out = out + b * np.sin(k * theta)
-        return out
+        cosines = (np.cos(k * theta) for k in range(1, len(self.cos_coeffs) + 1))
+        sines = (np.sin(k * theta) for k in range(1, len(self.sin_coeffs) + 1))
+        return self._value(theta, cosines, sines)
 
-    def deriv(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta)
-        for k, a in enumerate(self.cos_coeffs, start=1):
-            out = out - a * k * np.sin(k * theta)
-        for k, b in enumerate(self.sin_coeffs, start=1):
-            out = out + b * k * np.cos(k * theta)
-        return out
+    def jet(self, theta):
+        """(f, f') at theta, from one cos k theta and sin k theta per order;
+        f equals self(theta) bit for bit."""
+        theta = _scalar_or_array(theta)
+        cosines, sines = [], []
+        for k in range(1, max(len(self.cos_coeffs), len(self.sin_coeffs)) + 1):
+            cosines.append(np.cos(k * theta))
+            sines.append(np.sin(k * theta))
+        d = _accumulate(_accumulate(np.zeros_like(theta), self._dsin, sines), self._dcos, cosines)
+        return self._value(theta, cosines, sines), d
+
+    def _value(self, theta, cosines, sines):
+        """The series summed in a fixed order: const, cos terms, sin terms."""
+        out = _accumulate(np.full_like(theta, self.const), self.cos_coeffs, cosines)
+        return _accumulate(out, self.sin_coeffs, sines)
+
+
+def _accumulate(out, coeffs, terms):
+    """out + sum of coeffs[i] * terms[i], added one term at a time."""
+    for c, t in zip(coeffs, terms):
+        out = out + c * t
+    return out
+
+
+def _scalar_or_array(theta):
+    """theta as a float array, or as a numpy float when it is a scalar:
+    arithmetic on a 0-d array costs several times more."""
+    return np.asarray(theta, dtype=float)[()]
+
+
+def _stack3(x, y, z):
+    """The three components on a new last axis; np.array for scalars,
+    where np.stack costs more than the rest of a per-theta frame."""
+    return np.stack([x, y, z], axis=-1) if np.ndim(x) else np.array([x, y, z])
+
+
+def _sphere_point(sa, ca, ct, st):
+    """(sin a cos theta, sin a sin theta, cos a) from the sines and cosines."""
+    return _stack3(sa * ct, sa * st, ca)
 
 
 class SphericalBoundary:
@@ -73,19 +110,16 @@ class SphericalBoundary:
     def gamma_hat(self, theta):
         theta = np.asarray(theta, dtype=float)
         a = self.alpha(theta)
-        sa, ca = np.sin(a), np.cos(a)
-        return np.stack([sa * np.cos(theta), sa * np.sin(theta), ca], axis=-1)
+        return _sphere_point(np.sin(a), np.cos(a), np.cos(theta), np.sin(theta))
 
-    def gamma_hat_d(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        a = self.alpha(theta)
-        ad = self.alpha.deriv(theta)
+    def frame(self, theta):
+        """(gamma_hat, gamma_hat') at theta from one jet of alpha."""
+        theta = _scalar_or_array(theta)
+        a, ad = self.alpha.jet(theta)
         sa, ca = np.sin(a), np.cos(a)
-        st, ct = np.sin(theta), np.cos(theta)
-        du = ad * ca * ct - sa * st
-        dv = ad * ca * st + sa * ct
-        dw = -ad * sa
-        return np.stack([du, dv, dw], axis=-1)
+        ct, st = np.cos(theta), np.sin(theta)
+        gd = _stack3(ad * ca * ct - sa * st, ad * ca * st + sa * ct, -ad * sa)
+        return _sphere_point(sa, ca, ct, st), gd
 
     def domain_samples(self, n, seed=7, margin=0.0):
         """n seeded points of the closed domain Omega (star-shaped
@@ -95,8 +129,7 @@ class SphericalBoundary:
         # denser toward the boundary
         frac = np.sqrt(rng.uniform(0.0, 1.0, n)) * (1.0 - margin)
         a = frac * self.alpha(theta)
-        sa, ca = np.sin(a), np.cos(a)
-        return np.stack([sa * np.cos(theta), sa * np.sin(theta), ca], axis=-1)
+        return _sphere_point(np.sin(a), np.cos(a), np.cos(theta), np.sin(theta))
 
     def boundary_samples(self, n):
         theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
@@ -109,19 +142,22 @@ def axis_at(boundary, beta, theta, containment_samples):
     The two geometric candidates cos(b) ghat +- sin(b) (ghat ^ ghat')/|ghat'|
     are the intersection of the cone through ghat, the plane orthogonal to
     ghat', and S^2; the admissible one must contain all the given domain
-    samples in its closed cone, up to AXIS_TOL.
+    samples in its closed cone, up to AXIS_TOL.  The cross product and its
+    norm are written out: the same arithmetic as np.cross and
+    np.linalg.norm on 3-vectors, without their per-call overhead.
     """
-    g = boundary.gamma_hat(theta)
-    gd = boundary.gamma_hat_d(theta)
-    n = np.cross(g, gd)
-    nn = np.linalg.norm(n)
+    g, gd = boundary.frame(theta)
+    (g0, g1, g2), (d0, d1, d2) = g, gd
+    n = np.array([g1 * d2 - g2 * d1, g2 * d0 - g0 * d2, g0 * d1 - g1 * d0])
+    nn = np.sqrt(n @ n)
     if nn < 1e-14:
         raise NotBetaConvexAt(theta, "degenerate tangent at theta")
     n = n / nn
     cb, sb = np.cos(beta), np.sin(beta)
+    cg, sn = cb * g, sb * n
     best = None
-    for cand in (cb * g + sb * n, cb * g - sb * n):
-        worst = float(np.min(containment_samples @ cand)) - cb
+    for cand in (cg + sn, cg - sn):
+        worst = float((containment_samples @ cand).min()) - cb
         if worst >= -AXIS_TOL and (best is None or worst > best[1]):
             best = (cand, worst)
     if best is None:
@@ -164,7 +200,7 @@ def is_convex(boundary, n_samples=256, n_domain=1024):
     its tangent leaves all domain samples weakly on one side."""
     thetas, bpts = boundary.boundary_samples(n_samples)
     samples = np.vstack([boundary.domain_samples(n_domain), bpts])
-    side = samples @ np.cross(bpts, boundary.gamma_hat_d(thetas)).T
+    side = samples @ np.cross(bpts, boundary.frame(thetas)[1]).T
     return not np.any(np.any(side > CONVEX_TOL, axis=0) & np.any(side < -CONVEX_TOL, axis=0))
 
 
@@ -172,9 +208,7 @@ def orientation_sign(axis_map):
     """-1 when Det[gamma_hat', gamma_hat, axis] < 0 at all the map's
     samples (positively oriented), +1 when > 0 at all; SignChange
     otherwise."""
-    thetas = axis_map.thetas
-    g = axis_map.boundary.gamma_hat(thetas)
-    gd = axis_map.boundary.gamma_hat_d(thetas)
+    g, gd = axis_map.boundary.frame(axis_map.thetas)
     det = np.einsum("ij,ij->i", np.cross(gd, g), axis_map.axes)
     if np.all(det < 0.0):
         return -1

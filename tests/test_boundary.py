@@ -3,11 +3,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conesurf as cs
-from conesurf.boundary import axis_at
+from conesurf.boundary import FOURIER_MAX_ORDER, axis_at
 from conesurf.errors import CurveLeavesCone, NotBetaConvexAt, OutOfRange, SignChange
+from reference_axes import (alpha_value, gamma_hat, gamma_hat_d, reference_axis_at,
+                             reference_axis_map)
 
 BETA = np.pi / 3
 E3 = np.array([0.0, 0.0, 1.0])
+# (const, cos, sin) of each jet case: the orders present need not match
+_rng = np.random.default_rng(5)
+JET_CASES = {
+    "const": (0.7, (), ()),
+    "cos": (0.7, (0.1, -0.05, 0.02), ()),
+    "sin": (0.7, (), (0.03, 0.04)),
+    "more_sin": (0.7, (0.1,), (0.0, 0.02, 0.01)),
+    "more_cos": (0.7, (0.1, 0.2, 0.3), (0.05,)),
+    "max_order": (0.7, tuple(_rng.uniform(-0.05, 0.05, FOURIER_MAX_ORDER)),
+                  tuple(_rng.uniform(-0.05, 0.05, FOURIER_MAX_ORDER))),
+}
+THETAS = {"scalar": 0.7, "array": np.linspace(-3.0, 9.0, 37)}
 
 
 class TestFourierScalar:
@@ -15,7 +29,7 @@ class TestFourierScalar:
         f = cs.FourierScalar(1.0, cos_coeffs=[0.2], sin_coeffs=[0.0, 0.1])
         th = 0.7
         assert f(th) == pytest.approx(1.0 + 0.2 * np.cos(th) + 0.1 * np.sin(2 * th))
-        assert f.deriv(th) == pytest.approx(-0.2 * np.sin(th) + 0.2 * np.cos(2 * th))
+        assert f.jet(th)[1] == pytest.approx(-0.2 * np.sin(th) + 0.2 * np.cos(2 * th))
 
     def test_order_cap(self):
         with pytest.raises(OutOfRange):
@@ -27,7 +41,22 @@ class TestFourierScalar:
         f = cs.FourierScalar(1.0, cos_coeffs=[0.3, 0.1], sin_coeffs=[0.2])
         h = 1e-6
         fd = (f(th + h) - f(th - h)) / (2 * h)
-        assert f.deriv(th) == pytest.approx(fd, abs=1e-7)
+        assert f.jet(th)[1] == pytest.approx(fd, abs=1e-7)
+
+    @pytest.mark.parametrize("th", THETAS.values(), ids=THETAS.keys())
+    @pytest.mark.parametrize("const,cos,sin", JET_CASES.values(), ids=JET_CASES.keys())
+    def test_jet(self, const, cos, sin, th):
+        f = cs.FourierScalar(const, cos, sin)
+        value, d = f.jet(th)
+        assert np.shape(value) == np.shape(d) == np.shape(th)
+        # the value is __call__'s, summed in the same order
+        assert np.array_equal(value, f(th))
+        assert np.array_equal(value, alpha_value(f, th))
+        closed = sum(-k * a * np.sin(k * np.asarray(th)) for k, a in enumerate(cos, 1))
+        closed = closed + sum(k * b * np.cos(k * np.asarray(th)) for k, b in enumerate(sin, 1))
+        np.testing.assert_allclose(d, closed, rtol=1e-13, atol=1e-15)
+        h = 1e-6
+        np.testing.assert_allclose(d, (f(th + h) - f(th - h)) / (2 * h), atol=1e-7)
 
 
 class TestSphericalBoundary:
@@ -40,12 +69,19 @@ class TestSphericalBoundary:
         )
         assert np.linalg.norm(b.gamma_hat(1.3)) == pytest.approx(1.0)
 
-    def test_gamma_hat_d_fd(self):
-        b = cs.SphericalBoundary.perturbed_cap(0.5, cos_coeffs=[0.08], sin_coeffs=[0.03])
-        for th in np.linspace(0, 2 * np.pi, 9):
-            h = 1e-6
-            fd = (b.gamma_hat(th + h) - b.gamma_hat(th - h)) / (2 * h)
-            np.testing.assert_allclose(b.gamma_hat_d(th), fd, atol=1e-7)
+    @pytest.mark.parametrize("th", THETAS.values(), ids=THETAS.keys())
+    @pytest.mark.parametrize("const,cos,sin", JET_CASES.values(), ids=JET_CASES.keys())
+    def test_frame(self, const, cos, sin, th):
+        b = cs.SphericalBoundary.perturbed_cap(const, cos, sin)
+        g, gd = b.frame(th)
+        assert g.shape == gd.shape == np.shape(th) + (3,)
+        assert np.array_equal(g, b.gamma_hat(th))
+        assert np.array_equal(g, gamma_hat(b, th))
+        h = 1e-6
+        fd = (b.gamma_hat(np.asarray(th) + h) - b.gamma_hat(np.asarray(th) - h)) / (2 * h)
+        np.testing.assert_allclose(gd, fd, atol=1e-7)
+        # the tangent of two separate evaluations of alpha, to the bit
+        assert np.array_equal(gd, gamma_hat_d(b, th))
 
     def test_domain_samples_inside_cap(self):
         ac = 0.45
@@ -86,6 +122,48 @@ class TestAxisAt:
         samples = np.vstack([b.domain_samples(2000), b.boundary_samples(128)[1]])
         with pytest.raises(NotBetaConvexAt):
             axis_at(b, BETA, 0.2, samples)
+
+
+# (beta, alpha_c, cos, sin) of each domain whose axes are pinned to the
+# reference; the e2e caps are those of perfbench's e2e_radial seeds 1 and 7
+# and "wide" is the widest CI domain
+AXIS_DOMAINS = {
+    "cap": (BETA, 0.8 * BETA, (), ()),
+    "e2e_seed1": (BETA, 0.8377580409572781,
+                  (0.0, 0.00023643249400513364, -0.007116807745607325),
+                  (0.0, 0.009009273926518705, 0.008972988942744878)),
+    "e2e_seed7": (BETA, 0.8377580409572781,
+                  (0.0, 0.002501909332093339, 0.005513713804903871),
+                  (0.0, 0.007944276019391511, -0.005495856200188163)),
+    "wide": (1.5, 1.2, (0.0, 0.02), ()),
+    "pi6_order3": (np.pi / 6, 0.8 * np.pi / 6, (0.0, 0.0, 0.005), (0.0, 0.0, 0.005)),
+}
+
+
+class TestAxesMatchReference:
+    @pytest.mark.parametrize("n_boundary,n_domain", [(128, 1024), (256, 2048)],
+                             ids=["verify", "check_domain"])
+    @pytest.mark.parametrize("beta,ac,cos,sin", AXIS_DOMAINS.values(), ids=AXIS_DOMAINS.keys())
+    def test_axes_and_margin(self, beta, ac, cos, sin, n_boundary, n_domain):
+        b = cs.SphericalBoundary.perturbed_cap(ac, cos, sin)
+        amap = cs.AxisMap(b, beta, n_boundary, n_domain)
+        thetas, samples, axes, margin = reference_axis_map(b, beta, n_boundary, n_domain)
+        assert np.array_equal(amap.thetas, thetas)
+        assert np.array_equal(amap.axes, axes)
+        assert amap.margin == margin
+        # axes at parameters off the sampled grid, as the cone condition asks
+        for th in np.linspace(0.1, 2 * np.pi + 0.1, 16, endpoint=False):
+            assert np.array_equal(amap.axis(th), reference_axis_at(b, beta, th, samples))
+
+    def test_not_beta_convex_raises_at_the_same_theta(self):
+        beta = np.pi / 6
+        b = cs.SphericalBoundary.perturbed_cap(0.8 * beta, (0.0, 0.0, 0.01), (0.0, 0.0, 0.01))
+        with pytest.raises(NotBetaConvexAt) as got:
+            cs.AxisMap(b, beta, 128, 1024)
+        with pytest.raises(NotBetaConvexAt) as expected:
+            reference_axis_map(b, beta, 128, 1024)
+        assert got.value.theta == expected.value.theta
+        assert str(got.value) == str(expected.value)
 
 
 class TestBetaConvexity:
@@ -145,7 +223,7 @@ class TestBetaConvexity:
         tol = 1e-9
         ref = True
         for th in thetas:
-            side = samples @ np.cross(b.gamma_hat(th), b.gamma_hat_d(th))
+            side = samples @ np.cross(*b.frame(th))
             if np.any(side > tol) and np.any(side < -tol):
                 ref = False
                 break
@@ -165,11 +243,18 @@ class TestOrientation:
             def gamma_hat(self, theta):
                 return b.gamma_hat(-np.asarray(theta))
 
-            def gamma_hat_d(self, theta):
-                return -b.gamma_hat_d(-np.asarray(theta))
+            def frame(self, theta):
+                g, gd = b.frame(-np.asarray(theta))
+                return g, -gd
 
         r = Reversed(b.alpha)
-        assert cs.orientation_sign(cs.AxisMap(r, BETA)) == +1
+        amap = cs.AxisMap(r, BETA)
+        # the reversed frame reaches the axes: the axis at theta is the
+        # forward axis at -theta
+        forward = cs.AxisMap(b, BETA)
+        np.testing.assert_allclose(amap.axes, np.roll(forward.axes[::-1], 1, axis=0),
+                                   atol=1e-12)
+        assert cs.orientation_sign(amap) == +1
 
     def test_cap_determinant_value(self):
         # for a cap the determinant reduces to -sin^2(alpha_c) for e3 axis,
@@ -177,8 +262,7 @@ class TestOrientation:
         ac = BETA
         b = cs.SphericalBoundary.cap(ac)
         amap = cs.AxisMap(b, BETA, n_boundary=32)
-        g = b.gamma_hat(amap.thetas)
-        gd = b.gamma_hat_d(amap.thetas)
+        g, gd = b.frame(amap.thetas)
         det = np.einsum("ij,ij->i", np.cross(gd, g), amap.axes)
         np.testing.assert_allclose(det, -np.sin(ac) ** 2, atol=1e-8)
 
